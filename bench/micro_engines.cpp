@@ -1,6 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the primitives whose costs drive
-// every number in Tables 3/4: one router evaluation, the state-word
-// codec, the memory banks, and whole-engine steps across network sizes.
+// every number in Tables 3/4: one router evaluation (bare logic, and as
+// a RouterBlock on typed states vs. through the state word), the
+// state-word codec, the memory banks, and whole-engine steps across
+// network sizes.
 // Besides the console table, the run drops BENCH_micro_engines.json with
 // one metric per benchmark (adjusted real time).
 #include <benchmark/benchmark.h>
@@ -24,6 +26,25 @@ noc::NetworkConfig net_of(std::size_t w, std::size_t h) {
   net.width = w;
   net.height = h;
   return net;
+}
+
+/// Serialized router state with one HEAD flit waiting in queue 0 — the
+/// same load BM_RouterEvaluate uses.
+BitVector head_flit_word(const noc::NetworkConfig& net) {
+  noc::RouterState s(net.router);
+  s.queues[0].fifo.push(
+      noc::Flit{noc::FlitType::kHead, noc::make_head_payload(4, 2, 0, 1)});
+  return noc::RouterStateCodec(net.router).serialize(s);
+}
+
+/// Idle (all-zero) link values, one per input or output port of `blk`.
+std::vector<BitVector> zero_ports(const core::SimBlock& blk, bool inputs) {
+  std::vector<BitVector> ports;
+  const std::size_t n = inputs ? blk.num_inputs() : blk.num_outputs();
+  for (std::size_t p = 0; p < n; ++p) {
+    ports.emplace_back(inputs ? blk.input_width(p) : blk.output_width(p));
+  }
+  return ports;
 }
 
 void BM_RouterEvaluate(benchmark::State& state) {
@@ -69,17 +90,60 @@ void BM_StateWordDeserialize(benchmark::State& state) {
 }
 BENCHMARK(BM_StateWordDeserialize);
 
-void BM_StateMemoryRoundTrip(benchmark::State& state) {
-  core::StateMemory mem(std::vector<std::size_t>(36, 2000));
-  const BitVector word(2000);
+/// RouterBlock evaluation as the engines run it: typed old state in,
+/// typed new state out, no codec pass.
+void BM_RouterBlockEvaluateTyped(benchmark::State& state) {
+  const noc::NetworkConfig net = net_of(6, 6);
+  const core::NocModel nm = core::build_noc_model(net);
+  const core::SimBlock& blk = *nm.model.block(14).logic;  // router (2,2)
+  const std::unique_ptr<core::BlockState> old = blk.make_state();
+  const std::unique_ptr<core::BlockState> next = blk.make_state();
+  blk.decode_state(head_flit_word(net), *old);
+  std::vector<BitVector> in = zero_ports(blk, /*inputs=*/true);
+  std::vector<BitVector> out = zero_ports(blk, /*inputs=*/false);
   for (auto _ : state) {
-    for (std::size_t b = 0; b < 36; ++b) {
-      benchmark::DoNotOptimize(mem.read_old(b));
-      mem.write_new(b, word);
+    blk.evaluate_state(*old, in, *next, out);
+    benchmark::DoNotOptimize(next.get());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RouterBlockEvaluateTyped);
+
+/// The same evaluation through the word form: decode the 2112-bit word,
+/// evaluate, encode — the codec share is this row minus the typed one.
+void BM_RouterBlockEvaluateWord(benchmark::State& state) {
+  const noc::NetworkConfig net = net_of(6, 6);
+  const core::NocModel nm = core::build_noc_model(net);
+  const core::SimBlock& blk = *nm.model.block(14).logic;  // router (2,2)
+  const BitVector old = head_flit_word(net);
+  BitVector next(blk.state_width());
+  std::vector<BitVector> in = zero_ports(blk, /*inputs=*/true);
+  std::vector<BitVector> out = zero_ports(blk, /*inputs=*/false);
+  for (auto _ : state) {
+    blk.evaluate(old, in, next, out);
+    benchmark::DoNotOptimize(next.words().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RouterBlockEvaluateWord);
+
+/// One system cycle of bank traffic for a 6×6 NoC's typed state memory:
+/// every block's old state read and carried into the new bank (the
+/// worklist's skip path), then the pointer flip.
+void BM_StateMemoryRoundTrip(benchmark::State& state) {
+  const noc::NetworkConfig net = net_of(6, 6);
+  const core::NocModel nm = core::build_noc_model(net);
+  core::StateMemory mem(core::block_logic(nm.model));
+  const std::size_t n = mem.num_blocks();
+  for (auto _ : state) {
+    for (std::size_t b = 0; b < n; ++b) {
+      benchmark::DoNotOptimize(&mem.read_old(b));
+      mem.carry_over(b);
     }
     mem.swap_banks();
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * 36);
+  state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_StateMemoryRoundTrip);
 

@@ -71,13 +71,13 @@ ConvergenceError::ConvergenceError(ConvergenceReport report)
           convergence_context(report)),
       report_(std::move(report)) {}
 
-std::vector<std::size_t> block_state_widths(const SystemModel& model) {
-  std::vector<std::size_t> widths;
-  widths.reserve(model.num_blocks());
+std::vector<const SimBlock*> block_logic(const SystemModel& model) {
+  std::vector<const SimBlock*> logic;
+  logic.reserve(model.num_blocks());
   for (BlockId b = 0; b < model.num_blocks(); ++b) {
-    widths.push_back(model.block(b).logic->state_width());
+    logic.push_back(model.block(b).logic.get());
   }
-  return widths;
+  return logic;
 }
 
 namespace {

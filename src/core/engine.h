@@ -245,10 +245,13 @@ class Engine {
   /// links, the value committed at its clock edge.
   virtual const BitVector& link_value(LinkId link) const = 0;
 
-  /// Old-bank (committed) state of a block.
+  /// Old-bank (committed) state of a block as its bit-accurate word.
+  /// Engines hold typed states and encode here, lazily: the reference
+  /// stays valid, and the encoding cached, until the next step() or load.
   virtual const BitVector& block_state(BlockId block) const = 0;
 
-  /// Overwrites a block's committed state (reset preloading, testing).
+  /// Overwrites a block's committed state (reset preloading, testing) by
+  /// decoding `value` into its typed state.
   virtual void load_block_state(BlockId block, const BitVector& value) = 0;
 
   /// Overwrites the reader-visible value of an internal combinational
@@ -298,8 +301,8 @@ class Engine {
   SimObserver* observer_ = nullptr;
 };
 
-/// Builds the widths vector StateMemory needs from a model.
-std::vector<std::size_t> block_state_widths(const SystemModel& model);
+/// The per-block logic vector StateMemory needs, in model block order.
+std::vector<const SimBlock*> block_logic(const SystemModel& model);
 
 /// FNV-1a digest over every block's committed state — the cheap
 /// bit-identity witness the farm's differential tests and checkpoint

@@ -10,12 +10,27 @@ using noc::kForwardBits;
 using noc::kPorts;
 using noc::Port;
 
+namespace {
+
+/// RouterBlock's typed state: the decoded registers of one router.
+struct RouterBlockState final : BlockState {
+  explicit RouterBlockState(const noc::RouterConfig& cfg) : regs(cfg) {}
+  noc::RouterState regs;
+};
+
+const noc::RouterState& regs_of(const BlockState& s) {
+  return static_cast<const RouterBlockState&>(s).regs;
+}
+
+noc::RouterState& regs_of(BlockState& s) {
+  return static_cast<RouterBlockState&>(s).regs;
+}
+
+}  // namespace
+
 RouterBlock::RouterBlock(std::shared_ptr<const noc::RouterStateCodec> codec,
                          noc::RouterEnv env)
-    : codec_(std::move(codec)),
-      env_(env),
-      scratch_old_(codec_ ? codec_->config() : noc::RouterConfig{}),
-      scratch_new_(codec_ ? codec_->config() : noc::RouterConfig{}) {
+    : codec_(std::move(codec)), env_(env) {
   TMSIM_CHECK_MSG(codec_ != nullptr, "null codec");
   TMSIM_CHECK_MSG(env_.net != nullptr, "null network config");
 }
@@ -34,13 +49,47 @@ std::size_t RouterBlock::output_width(std::size_t port) const {
 
 BitVector RouterBlock::reset_state() const { return codec_->reset_word(); }
 
+std::unique_ptr<BlockState> RouterBlock::make_state() const {
+  return std::make_unique<RouterBlockState>(codec_->config());
+}
+
+void RouterBlock::encode_state(const BlockState& s, BitVector& word) const {
+  codec_->serialize_into(regs_of(s), word);
+}
+
+void RouterBlock::decode_state(const BitVector& word, BlockState& s) const {
+  codec_->deserialize_into(word, regs_of(s));
+}
+
+void RouterBlock::copy_state(const BlockState& from, BlockState& to) const {
+  regs_of(to) = regs_of(from);
+}
+
+bool RouterBlock::state_equals(const BlockState& a,
+                               const BlockState& b) const {
+  return regs_of(a) == regs_of(b);
+}
+
 void RouterBlock::evaluate(const BitVector& old_state,
                            std::span<const BitVector> inputs,
                            BitVector& new_state,
                            std::span<BitVector> outputs) const {
+  for (std::unique_ptr<BlockState>& scratch : word_scratch_) {
+    if (!scratch) {
+      scratch = make_state();
+    }
+  }
+  decode_state(old_state, *word_scratch_[0]);
+  evaluate_state(*word_scratch_[0], inputs, *word_scratch_[1], outputs);
+  encode_state(*word_scratch_[1], new_state);
+}
+
+void RouterBlock::evaluate_state(const BlockState& old,
+                                 std::span<const BitVector> inputs,
+                                 BlockState& next,
+                                 std::span<BitVector> outputs) const {
   const std::size_t num_vcs = codec_->config().num_vcs;
-  codec_->deserialize_into(old_state, scratch_old_);
-  const noc::RouterState& s = scratch_old_;
+  const noc::RouterState& s = regs_of(old);
 
   noc::RouterInputs in;
   for (std::size_t p = 0; p < kPorts; ++p) {
@@ -65,8 +114,7 @@ void RouterBlock::evaluate(const BitVector& old_state,
     in.credit_in[static_cast<std::size_t>(Port::kLocal)].set(delivered.vc);
   }
 
-  noc::compute_next_state_into(s, grants, in, env_, scratch_new_);
-  codec_->serialize_into(scratch_new_, new_state);
+  noc::compute_next_state_into(s, grants, in, env_, regs_of(next));
 
   for (std::size_t o = 0; o < kPorts; ++o) {
     outputs[o].set_field(0, kForwardBits, noc::encode_forward(out.fwd_out[o]));

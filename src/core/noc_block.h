@@ -20,11 +20,14 @@
 // state-memory word (Table 1 counts stimuli-interface registers in the
 // router's 2112 bits).
 //
-// All inter-router links are combinational (§4.2). Block state is the
-// serialized RouterState word; evaluation deserializes the old word, runs
-// the shared router logic (G and F together, one delta cycle), and
-// serializes the new word — the exact data path of the FPGA's router block
-// between its state-memory read and write (§5.2).
+// All inter-router links are combinational (§4.2). The engines keep each
+// router's registers as a decoded noc::RouterState in their banks (the
+// typed state of SimBlock); evaluate_state() runs the shared router logic
+// (G and F together, one delta cycle) on it directly, as the FPGA's
+// router block sees the register fields of its state-memory word as wires
+// (§5.2). The 2112-bit word (Table 1) goes through the codec only at the
+// bit-accurate boundaries: block_state(), checkpoints, digests, VCD and
+// load/restore/reset.
 #pragma once
 
 #include <memory>
@@ -51,9 +54,24 @@ class RouterBlock : public SimBlock {
   std::size_t num_outputs() const override { return 10; }
   std::size_t output_width(std::size_t port) const override;
   BitVector reset_state() const override;
+  /// Word form: decode → evaluate_state → encode. Engines never call it;
+  /// it serves tests and evaluation replays that hold words. Its decoded
+  /// scratch pair is allocated on first use and makes this form — unlike
+  /// the typed one — not re-entrant.
   void evaluate(const BitVector& old_state,
                 std::span<const BitVector> inputs, BitVector& new_state,
                 std::span<BitVector> outputs) const override;
+
+  // Typed state: a noc::RouterState, built and compared directly (the
+  // reset state is RouterState(cfg), no codec round trip).
+  std::unique_ptr<BlockState> make_state() const override;
+  void encode_state(const BlockState& s, BitVector& word) const override;
+  void decode_state(const BitVector& word, BlockState& s) const override;
+  void copy_state(const BlockState& from, BlockState& to) const override;
+  bool state_equals(const BlockState& a, const BlockState& b) const override;
+  void evaluate_state(const BlockState& old, std::span<const BitVector> inputs,
+                      BlockState& next,
+                      std::span<BitVector> outputs) const override;
   std::string type_name() const override { return "noc_router"; }
 
   /// §4.2 Fig. 4: every router output — forwarded flits, credit returns,
@@ -71,12 +89,9 @@ class RouterBlock : public SimBlock {
  private:
   std::shared_ptr<const noc::RouterStateCodec> codec_;
   noc::RouterEnv env_;
-  // Scratch state reused across evaluations (the FPGA works on one wide
-  // word in place; mallocing per delta cycle would misstate the method's
-  // host-side cost). evaluate() stays pure — these hold no information
-  // across calls — but it is not re-entrant: engines are single-threaded.
-  mutable noc::RouterState scratch_old_;
-  mutable noc::RouterState scratch_new_;
+  // Word-form evaluate() only: [0] old, [1] new. Holds no information
+  // across calls.
+  mutable std::unique_ptr<BlockState> word_scratch_[2];
 };
 
 /// The SystemModel of a whole NoC plus its external link handles.

@@ -15,9 +15,8 @@ SequentialSimulator::SequentialSimulator(const SystemModel& model,
       policy_(policy),
       max_evals_per_block_(max_evals_per_block),
       scheduler_(scheduler),
-      state_(block_state_widths(model)),
-      links_(model),
-      state_scratch_(0) {
+      state_(block_logic(model)),
+      links_(model) {
   TMSIM_CHECK_MSG(model.finalized(), "model must be finalized");
   TMSIM_CHECK_MSG(max_evals_per_block >= 1, "eval limit must be positive");
   if (policy_ == SchedulePolicy::kStatic) {
@@ -26,9 +25,6 @@ SequentialSimulator::SequentialSimulator(const SystemModel& model,
                     "use kDynamic for combinational boundaries");
   }
   check_scheduler_topology(model, scheduler_);
-  for (BlockId b = 0; b < model.num_blocks(); ++b) {
-    state_.load_old(b, model.block(b).logic->reset_state());
-  }
   unstable_.assign(model.num_blocks(), 0);
   evaluated_.assign(model.num_blocks(), 0);
   rr_init_ = schedule_rr_offset(schedule_seed, model.num_blocks());
@@ -116,7 +112,7 @@ const BitVector& SequentialSimulator::link_value(LinkId link) const {
 }
 
 const BitVector& SequentialSimulator::block_state(BlockId block) const {
-  return state_.read_old(block);
+  return state_.old_word(block);
 }
 
 void SequentialSimulator::load_block_state(BlockId block,
@@ -390,27 +386,23 @@ void SequentialSimulator::evaluate_block(BlockId b, StepStats& stats) {
     }
   }
 
-  if (state_scratch_.width() != logic.state_width()) {
-    state_scratch_ = BitVector(logic.state_width());
-  }
   for (std::size_t p = 0; p < n_out; ++p) {
     if (out_scratch_[p].width() != logic.output_width(p)) {
       out_scratch_[p] = BitVector(logic.output_width(p));
     }
   }
 
-  logic.evaluate(state_.read_old(b),
-                 std::span<const BitVector>(in_scratch_.data(), n_in),
-                 state_scratch_,
-                 std::span<BitVector>(out_scratch_.data(), n_out));
+  logic.evaluate_state(state_.read_old(b),
+                       std::span<const BitVector>(in_scratch_.data(), n_in),
+                       state_.new_slot(b),
+                       std::span<BitVector>(out_scratch_.data(), n_out));
 
   if (scheduler_ == SchedulerKind::kWorklist) {
     // Fixed-point witness for the quiescence fast path. The last
     // evaluation of the cycle is the committed one, so the flag's final
     // value describes exactly the state the bank swap publishes.
-    state_fixed_[b] = state_scratch_ == state_.read_old(b) ? 1 : 0;
+    state_fixed_[b] = state_.new_equals_old(b) ? 1 : 0;
   }
-  state_.write_new(b, state_scratch_);
 
   for (std::size_t p = 0; p < n_out; ++p) {
     const LinkId l = blk.output_links[p];
@@ -457,22 +449,18 @@ void SequentialSimulator::evaluate_block_compiled(BlockId b, StepStats& stats,
   for (std::size_t p = 0; p < n_in; ++p) {
     in_scratch_[p] = links_.read(blk.input_links[p]);
   }
-  if (state_scratch_.width() != logic.state_width()) {
-    state_scratch_ = BitVector(logic.state_width());
-  }
   for (std::size_t p = 0; p < n_out; ++p) {
     if (out_scratch_[p].width() != logic.output_width(p)) {
       out_scratch_[p] = BitVector(logic.output_width(p));
     }
   }
 
-  logic.evaluate(state_.read_old(b),
-                 std::span<const BitVector>(in_scratch_.data(), n_in),
-                 state_scratch_,
-                 std::span<BitVector>(out_scratch_.data(), n_out));
   // A drive's state write is harmlessly overwritten by the later
   // committing evaluation; the last write wins in the new bank.
-  state_.write_new(b, state_scratch_);
+  logic.evaluate_state(state_.read_old(b),
+                       std::span<const BitVector>(in_scratch_.data(), n_in),
+                       state_.new_slot(b),
+                       std::span<BitVector>(out_scratch_.data(), n_out));
 
   for (std::size_t p = 0; p < n_out; ++p) {
     const LinkId l = blk.output_links[p];

@@ -73,10 +73,11 @@ class SequentialSimulator : public Engine {
   /// links, the value committed at its clock edge.
   const BitVector& link_value(LinkId link) const override;
 
-  /// Old-bank (committed) state of a block.
+  /// Old-bank (committed) state of a block, encoded lazily (Engine).
   const BitVector& block_state(BlockId block) const override;
 
-  /// Overwrites a block's committed state (reset preloading, testing).
+  /// Decodes `value` into a block's committed state (reset, restore,
+  /// testing).
   void load_block_state(BlockId block, const BitVector& value) override;
 
   /// Overwrites a link's reader-visible value (checkpoint restore).
@@ -185,7 +186,6 @@ class SequentialSimulator : public Engine {
   // Scratch buffers reused across evaluations (hot path).
   std::vector<BitVector> in_scratch_;
   std::vector<BitVector> out_scratch_;
-  BitVector state_scratch_;
 };
 
 }  // namespace tmsim::core

@@ -98,18 +98,15 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
   shards_.reserve(k);
   for (std::size_t s = 0; s < k; ++s) {
     const std::vector<BlockId>& blocks = part_.shards[s];
-    std::vector<std::size_t> widths;
-    widths.reserve(blocks.size());
+    std::vector<const SimBlock*> logic;
+    logic.reserve(blocks.size());
     for (const BlockId b : blocks) {
-      widths.push_back(model.block(b).logic->state_width());
+      logic.push_back(model.block(b).logic.get());
     }
-    auto sh = std::make_unique<Shard>(s, blocks, std::move(widths), model,
+    auto sh = std::make_unique<Shard>(s, blocks, std::move(logic), model,
                                       materialize[s]);
     sh->unstable.assign(blocks.size(), 0);
     sh->evaluated.assign(blocks.size(), 0);
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      sh->state.load_old(i, model.block(blocks[i]).logic->reset_state());
-    }
     if (cfg_.scheduler == SchedulerKind::kWorklist) {
       sh->worklist.reserve(blocks.size());
       sh->state_fixed.assign(blocks.size(), 0);
@@ -247,7 +244,7 @@ const BitVector& ShardedSimulator::link_value(LinkId link) const {
 
 const BitVector& ShardedSimulator::block_state(BlockId block) const {
   TMSIM_CHECK_MSG(block < model_.num_blocks(), "block index out of range");
-  return shards_[part_.shard_of[block]]->state.read_old(local_of_[block]);
+  return shards_[part_.shard_of[block]]->state.old_word(local_of_[block]);
 }
 
 void ShardedSimulator::load_block_state(BlockId block, const BitVector& value) {
@@ -694,24 +691,19 @@ void ShardedSimulator::evaluate_block_compiled(Shard& sh, std::size_t local,
   for (std::size_t p = 0; p < n_in; ++p) {
     sh.in_scratch[p] = sh.links.read(blk.input_links[p]);
   }
-  if (sh.state_scratch.width() != logic.state_width()) {
-    sh.state_scratch = BitVector(logic.state_width());
-  }
   for (std::size_t p = 0; p < n_out; ++p) {
     if (sh.out_scratch[p].width() != logic.output_width(p)) {
       sh.out_scratch[p] = BitVector(logic.output_width(p));
     }
   }
 
-  logic.evaluate(sh.state.read_old(local),
-                 std::span<const BitVector>(sh.in_scratch.data(), n_in),
-                 sh.state_scratch,
-                 std::span<BitVector>(sh.out_scratch.data(), n_out));
-
   // A drive op's state write is harmlessly overwritten by the block's
-  // later committing eval (write_new overwrites; the last evaluation in
-  // the op sequence always sees all-final inputs).
-  sh.state.write_new(local, sh.state_scratch);
+  // later committing eval (the new slot is evaluated in place; the last
+  // evaluation in the op sequence always sees all-final inputs).
+  logic.evaluate_state(sh.state.read_old(local),
+                       std::span<const BitVector>(sh.in_scratch.data(), n_in),
+                       sh.state.new_slot(local),
+                       std::span<BitVector>(sh.out_scratch.data(), n_out));
 
   for (std::size_t p = 0; p < n_out; ++p) {
     const LinkId l = blk.output_links[p];
@@ -861,28 +853,23 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local) {
     }
   }
 
-  if (sh.state_scratch.width() != logic.state_width()) {
-    sh.state_scratch = BitVector(logic.state_width());
-  }
   for (std::size_t p = 0; p < n_out; ++p) {
     if (sh.out_scratch[p].width() != logic.output_width(p)) {
       sh.out_scratch[p] = BitVector(logic.output_width(p));
     }
   }
 
-  logic.evaluate(sh.state.read_old(local),
-                 std::span<const BitVector>(sh.in_scratch.data(), n_in),
-                 sh.state_scratch,
-                 std::span<BitVector>(sh.out_scratch.data(), n_out));
+  logic.evaluate_state(sh.state.read_old(local),
+                       std::span<const BitVector>(sh.in_scratch.data(), n_in),
+                       sh.state.new_slot(local),
+                       std::span<BitVector>(sh.out_scratch.data(), n_out));
 
   if (cfg_.scheduler == SchedulerKind::kWorklist) {
-    // State fixed point: a pure evaluate() that mapped old == new will
+    // State fixed point: a pure evaluation that mapped old == new will
     // reproduce this exact evaluation as long as the inputs stay put —
     // the precondition the quiescence fast path relies on.
-    sh.state_fixed[local] =
-        sh.state_scratch == sh.state.read_old(local) ? 1 : 0;
+    sh.state_fixed[local] = sh.state.new_equals_old(local) ? 1 : 0;
   }
-  sh.state.write_new(local, sh.state_scratch);
 
   for (std::size_t p = 0; p < n_out; ++p) {
     const LinkId l = blk.output_links[p];

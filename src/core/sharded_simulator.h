@@ -175,18 +175,17 @@ class ShardedSimulator : public Engine {
     // Scratch reused across evaluations (hot path).
     std::vector<BitVector> in_scratch;
     std::vector<BitVector> out_scratch;
-    BitVector state_scratch{0};
     BitVector poll_scratch{0};
     static constexpr std::size_t kChangedLinkHistory = 8;
     std::array<LinkId, kChangedLinkHistory> recent_changed_links{};
     std::size_t recent_changed_count = 0;
 
     Shard(std::size_t idx, std::vector<BlockId> blks,
-          std::vector<std::size_t> widths, const SystemModel& model,
+          std::vector<const SimBlock*> logic, const SystemModel& model,
           const std::vector<char>& materialize)
         : index(idx),
           blocks(std::move(blks)),
-          state(widths),
+          state(std::move(logic)),
           links(model, materialize) {}
   };
 

@@ -12,15 +12,38 @@
 // every identical partition (the paper's F'_{i,j}(x)): evaluation carries
 // no per-call state, so homogeneous systems instantiate the logic once —
 // exactly what makes the FPGA approach area-efficient.
+//
+// Two forms of the register file. The *word* (state_width() bits) is the
+// bit-accurate memory image of §5.2: what checkpoints, digests, waveforms
+// and the FPGA design model see. The *typed state* (BlockState) is the
+// block's own decoded form — the host's analogue of the FPGA's wires,
+// where the router logic sees register fields directly and decoding costs
+// nothing. Engines keep typed states in their banks and evaluate through
+// evaluate_state(); they encode to / decode from the word only at those
+// bit-accurate boundaries. The typed hooks default to a BitVector wrapper
+// that forwards to the word-form evaluate(), so a block that only
+// implements the word form works unchanged.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
 
 #include "common/bit_vector.h"
 
 namespace tmsim::core {
+
+/// One block's registers in the block's decoded form. Opaque to the
+/// engines: only the SimBlock that made a state (make_state) may read or
+/// write it, through the typed hooks below.
+class BlockState {
+ public:
+  virtual ~BlockState() = default;
+  BlockState() = default;
+  BlockState(const BlockState&) = delete;
+  BlockState& operator=(const BlockState&) = delete;
+};
 
 /// Pure combinational view of one design partition.
 class SimBlock {
@@ -51,6 +74,35 @@ class SimBlock {
                         std::span<const BitVector> inputs,
                         BitVector& new_state,
                         std::span<BitVector> outputs) const = 0;
+
+  // ---- Typed state (see the header comment). Blocks that override one
+  // of these override all of them, so every state the engine holds has
+  // the block's own concrete type. The defaults hold the word itself.
+
+  /// A fresh state holding the reset contents (== decode(reset_state())).
+  virtual std::unique_ptr<BlockState> make_state() const;
+
+  /// Bit-accurate boundary: `word` (state_width() bits) := encode(s).
+  virtual void encode_state(const BlockState& s, BitVector& word) const;
+
+  /// Bit-accurate boundary: `s` := decode(word). Throws on a width
+  /// mismatch.
+  virtual void decode_state(const BitVector& word, BlockState& s) const;
+
+  /// `to` := `from` (same block type; the worklist's carry-over).
+  virtual void copy_state(const BlockState& from, BlockState& to) const;
+
+  /// True exactly when encode(a) == encode(b) — the worklist's
+  /// fixed-point witness relies on that equivalence to skip blocks.
+  virtual bool state_equals(const BlockState& a, const BlockState& b) const;
+
+  /// evaluate() on typed states: `next` is the new-bank slot, evaluated
+  /// in place (re-evaluation overwrites it). Must agree with evaluate()
+  /// through the codec: encode(next) == evaluate(encode(old), ...).
+  virtual void evaluate_state(const BlockState& old,
+                              std::span<const BitVector> inputs,
+                              BlockState& next,
+                              std::span<BitVector> outputs) const;
 
   /// Human-readable type name for traces and error messages.
   virtual std::string type_name() const = 0;

@@ -67,6 +67,7 @@ const char* cancel_result_name(CancelResult r) {
 
 SimFarm::SimFarm(FarmOptions opt)
     : opt_(opt),
+      start_us_(now_us()),
       queue_(opt.queue_capacity, opt.max_job_cycles,
              [this] { return now_us(); }, opt.admission_shards,
              // Batch compatibility = engine-cache identity: the queue
@@ -321,13 +322,13 @@ void SimFarm::shutdown() {
   }
   // 5. End-of-life instruments (all worker threads joined above, so the
   //    per-worker rows have a single writer: this thread).
-  const double end_us = now_us();
-  if (opt_.metrics && end_us > 0.0) {
+  const double lifetime_us = now_us() - start_us_;
+  if (opt_.metrics && lifetime_us > 0.0) {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       const Worker& wk = *workers_[w];
       opt_.metrics->gauge("farm.worker.utilization", worker_label(w))
-          .set(wk.busy_us / end_us);
+          .set(wk.busy_us / lifetime_us);
       opt_.metrics->counter("farm.worker.busy_us", worker_label(w))
           .set(static_cast<std::uint64_t>(wk.busy_us));
       opt_.metrics->counter("farm.worker.cache_hits", worker_label(w))

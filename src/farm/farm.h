@@ -84,8 +84,9 @@
 //   farm.worker.{slices,jobs,busy_us}{worker=i} counters — busy_us
 //   bills *every* executed slice, including slices of jobs that later
 //   fail or get cancelled — and a farm.worker.utilization gauge at
-//   shutdown; plus farm.slice spans on per-worker ChromeTrace tracks
-//   (tid 100+worker) with farm.preempt instants.
+//   shutdown (busy_us over the farm's lifetime); plus farm.slice spans
+//   on per-worker ChromeTrace tracks (tid 100+worker) with
+//   farm.preempt instants.
 //
 // Distributed tracing + flight recorder + introspection (DESIGN.md
 // §15, all off by default and provably free when off):
@@ -446,6 +447,9 @@ class SimFarm {
   void update_queue_gauges();
 
   FarmOptions opt_;
+  /// now_us() at construction: farm.worker.utilization divides busy
+  /// time by the farm's lifetime, not by the clock's epoch.
+  const double start_us_;
   AdmissionQueue queue_;
   ResultStore results_;
   std::vector<std::unique_ptr<Worker>> workers_;

@@ -148,7 +148,13 @@ BitVector RouterStateCodec::reset_word() const {
 
 bool states_equal(const RouterStateCodec& codec, const RouterState& a,
                   const RouterState& b) {
-  return codec.serialize(a) == codec.serialize(b);
+  const std::size_t nq = codec.config().num_queues();
+  for (const RouterState* s : {&a, &b}) {
+    TMSIM_CHECK_MSG(s->queues.size() == nq && s->out_vcs.size() == nq &&
+                        s->rr_ptr.size() == kPorts,
+                    "router state shape mismatch");
+  }
+  return a == b;
 }
 
 }  // namespace tmsim::noc

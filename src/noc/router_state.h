@@ -32,8 +32,11 @@ struct QueueState {
   RingBuffer<Flit> fifo;
   /// True while a packet (HEAD seen, TAIL not yet forwarded) holds a route.
   bool locked = false;
-  /// Output port of the locked route; meaningless when !locked.
+  /// Output port of the locked route; meaningless when !locked (but
+  /// still a register, so still compared and serialized).
   Port out_port = Port::kLocal;
+
+  friend bool operator==(const QueueState&, const QueueState&) = default;
 };
 
 /// Per output-port, per-VC state.
@@ -62,6 +65,15 @@ struct RouterState {
                            std::size_t vc) {
     return static_cast<std::size_t>(port) * cfg.num_vcs + vc;
   }
+
+  /// Field-wise equality over exactly the serialized registers: every
+  /// queue slot (stale payloads outside [rd, wr) included), rd/wr and
+  /// occupancy (so a full queue differs from an empty one at rd == wr),
+  /// locks with their out_port even while unlocked, output-VC state and
+  /// arbiter pointers. For states the codec accepts, a == b exactly when
+  /// serialize(a) == serialize(b) — the engines' worklist skips blocks
+  /// on this answer.
+  friend bool operator==(const RouterState&, const RouterState&) = default;
 };
 
 /// Bit-accurate (de)serializer between RouterState and a state-memory word.
@@ -95,7 +107,9 @@ class RouterStateCodec {
   std::vector<std::size_t> f_rr_;
 };
 
-/// Two router states are equal iff their serializations are bit-identical.
+/// Two router states are equal iff their serializations are bit-identical;
+/// computed on the typed fields (RouterState::operator==), no codec pass.
+/// Throws, like serialize(), when a state is not shaped for `codec`.
 bool states_equal(const RouterStateCodec& codec, const RouterState& a,
                   const RouterState& b);
 

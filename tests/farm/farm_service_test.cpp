@@ -1,8 +1,8 @@
 // SimFarm service-level tests: end-to-end job execution (core and
 // hosted), backpressure under flood without ever blocking a submitter
 // (run under TSan via the tsan preset's farm label), forced
-// preemption/resume accounting, the farm.* metrics surface, and the
-// completion feed.
+// preemption/resume accounting, the farm.* metrics surface (incl. the
+// worker utilization gauge), and the completion feed.
 #include "farm/farm.h"
 
 #include <atomic>
@@ -267,6 +267,28 @@ TEST(SimFarm, ShutdownIsIdempotentAndDrains) {
     ASSERT_TRUE(farm.results().get(id).has_value());
     EXPECT_EQ(farm.results().get(id)->status, JobStatus::kDone);
   }
+}
+
+TEST(SimFarm, WorkerUtilizationIsAShareOfTheFarmsLifetime) {
+  // No timeline attached: the gauge must still divide busy time by the
+  // farm's own lifetime. Dividing by the steady clock's epoch (time
+  // since boot) read ~1e-7 for a worker that was busy the whole time.
+  obs::MetricsRegistry metrics;
+  FarmOptions opt;
+  opt.num_workers = 1;
+  opt.metrics = &metrics;
+  SimFarm farm(opt);
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(farm.submit(small_job("busy-" + std::to_string(i),
+                                      static_cast<std::uint64_t>(i + 1)))
+                    .accepted);
+  }
+  farm.drain();
+  farm.shutdown();
+  const double util =
+      metrics.gauge_value("farm.worker.utilization", "worker=0", -1.0);
+  EXPECT_GT(util, 0.05);  // fed from construction to drain: mostly busy
+  EXPECT_LE(util, 1.0);
 }
 
 }  // namespace

@@ -123,6 +123,136 @@ TEST(RouterStateCodec, RandomizedRoundTrip) {
   }
 }
 
+/// A random state the router can reach: queues filled and drained by
+/// random push/pop runs (so pointers wrap and popped slots keep stale
+/// payloads), locks with arbitrary ports, in-range counters.
+RouterState random_reachable_state(const RouterConfig& cfg,
+                                   tmsim::SplitMix64& rng) {
+  RouterState s(cfg);
+  for (auto& q : s.queues) {
+    for (int run = 0; run < 3; ++run) {
+      const std::size_t pushes =
+          rng.next_below(cfg.queue_depth - q.fifo.size() + 1);
+      for (std::size_t i = 0; i < pushes; ++i) {
+        q.fifo.push(Flit{static_cast<FlitType>(1 + rng.next_below(3)),
+                         static_cast<std::uint16_t>(rng.next())});
+      }
+      const std::size_t pops = rng.next_below(q.fifo.size() + 1);
+      for (std::size_t i = 0; i < pops; ++i) {
+        q.fifo.pop();
+      }
+    }
+    q.locked = rng.next_below(2) == 1;
+    q.out_port = static_cast<Port>(rng.next_below(kPorts));
+  }
+  for (auto& ovc : s.out_vcs) {
+    ovc.busy = rng.next_below(2) == 1;
+    ovc.owner_port = static_cast<std::uint8_t>(rng.next_below(kPorts));
+    ovc.credits =
+        static_cast<std::uint8_t>(rng.next_below(cfg.queue_depth + 1));
+  }
+  for (auto& rr : s.rr_ptr) {
+    rr = static_cast<std::uint8_t>(rng.next_below(cfg.num_queues()));
+  }
+  return s;
+}
+
+/// Changes exactly one register of `t` (or, for full-vs-empty, of both
+/// `s` and `t`), so the two states differ in that register only.
+void mutate_one_field(const RouterConfig& cfg, tmsim::SplitMix64& rng,
+                      RouterState& s, RouterState& t) {
+  const std::size_t depth = cfg.queue_depth;
+  const std::size_t q = rng.next_below(cfg.num_queues());
+  QueueState& qt = t.queues[q];
+  const auto flip_payload = [&](std::size_t slot) {
+    qt.fifo.slot(slot).payload ^=
+        static_cast<std::uint16_t>(1 + rng.next_below(0xffff));
+  };
+  switch (rng.next_below(10)) {
+    case 0: {  // a stale slot outside [rd, wr) — or a live one if full
+      const std::size_t stale = qt.fifo.size() % depth;
+      flip_payload((qt.fifo.read_pos() + stale) % depth);
+      break;
+    }
+    case 1:  // any physical slot, live or stale
+      flip_payload(rng.next_below(depth));
+      break;
+    case 2: {  // rd == wr: empty in s, full in t, same slots
+      const std::size_t p = rng.next_below(depth);
+      s.queues[q].fifo.restore(p, p, 0);
+      t.queues[q] = s.queues[q];
+      qt.fifo.restore(p, p, depth);
+      break;
+    }
+    case 3:  // out_port while unlocked
+      s.queues[q].locked = qt.locked = false;
+      qt.out_port =
+          static_cast<Port>((static_cast<std::size_t>(qt.out_port) + 1 +
+                             rng.next_below(kPorts - 1)) %
+                            kPorts);
+      break;
+    case 4:
+      qt.locked = !qt.locked;
+      break;
+    case 5: {  // same occupancy, pointers moved by one slot
+      const std::size_t rd = (qt.fifo.read_pos() + 1) % depth;
+      const std::size_t wr = (qt.fifo.write_pos() + 1) % depth;
+      qt.fifo.restore(rd, wr, qt.fifo.size());
+      break;
+    }
+    case 6:
+      t.out_vcs[q].busy = !t.out_vcs[q].busy;
+      break;
+    case 7:
+      t.out_vcs[q].owner_port =
+          static_cast<std::uint8_t>((t.out_vcs[q].owner_port + 1) % kPorts);
+      break;
+    case 8:
+      t.out_vcs[q].credits =
+          static_cast<std::uint8_t>((t.out_vcs[q].credits + 1) % (depth + 1));
+      break;
+    default: {
+      const std::size_t p = rng.next_below(kPorts);
+      t.rr_ptr[p] =
+          static_cast<std::uint8_t>((t.rr_ptr[p] + 1) % cfg.num_queues());
+      break;
+    }
+  }
+}
+
+TEST(RouterState, TypedEqualityHoldsExactlyWhenEncodingsAreEqual) {
+  // The engines keep RouterState decoded in their banks and the worklist
+  // skips a router when its typed new state equals the old one, so the
+  // typed compare must agree with the bit-accurate one in both
+  // directions — stale slots, unlocked out_port and full vs empty
+  // included.
+  for (const std::size_t depth : {2u, 4u, 5u}) {
+    RouterConfig cfg = default_cfg();
+    cfg.queue_depth = depth;
+    const RouterStateCodec codec(cfg);
+    tmsim::SplitMix64 rng(depth * 131);
+    for (int iter = 0; iter < 300; ++iter) {
+      RouterState s = random_reachable_state(cfg, rng);
+      // Codec round trip is the identity on typed states.
+      ASSERT_TRUE(codec.deserialize(codec.serialize(s)) == s);
+
+      RouterState t = s;
+      ASSERT_TRUE(s == t);
+      ASSERT_TRUE(states_equal(codec, s, t));
+      mutate_one_field(cfg, rng, s, t);
+      const bool words_equal = codec.serialize(s) == codec.serialize(t);
+      ASSERT_FALSE(words_equal) << "mutation left the encoding unchanged";
+      ASSERT_EQ(s == t, words_equal);
+      ASSERT_EQ(states_equal(codec, s, t), words_equal);
+      ASSERT_TRUE(codec.deserialize(codec.serialize(t)) == t);
+
+      // Independent states: equal typed exactly when equal encoded.
+      const RouterState u = random_reachable_state(cfg, rng);
+      ASSERT_EQ(s == u, codec.serialize(s) == codec.serialize(u));
+    }
+  }
+}
+
 TEST(RouterStateCodec, RejectsWrongWidthWord) {
   const RouterStateCodec codec(default_cfg());
   EXPECT_THROW(codec.deserialize(BitVector(codec.state_bits() + 1)),
