@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/sequential_simulator.h"
 #include "core/example_blocks.h"
+#include "core/sharded_simulator.h"
 
 namespace {
 
@@ -27,7 +27,7 @@ struct TraceTotals {
   std::uint64_t re_evaluations = 0;
 };
 
-TraceTotals trace_run(SequentialSimulator& sim, std::size_t cycles) {
+TraceTotals trace_run(ShardedSimulator& sim, std::size_t cycles) {
   struct Event {
     SystemCycle c;
     DeltaCycle d;
@@ -85,7 +85,7 @@ int main() {
       m.bind_input(blocks[(i + 1) % 3], 0, regs[i]);
     }
     m.finalize();
-    SequentialSimulator sim(m, SchedulePolicy::kStatic);
+    ShardedSimulator sim(m, {.schedule = SchedulePolicy::kStatic});
     std::printf("each (cycle,delta)=block entry is one evaluation; the\n"
                 "static method needs exactly num_blocks deltas per cycle:\n");
     static_totals = trace_run(sim, 3);
@@ -116,7 +116,7 @@ int main() {
       m.bind_input(blocks[(i + 1) % 3], 0, links[i]);
     }
     m.finalize();
-    SequentialSimulator sim(m, SchedulePolicy::kDynamic);
+    ShardedSimulator sim(m, {});
     std::printf("every cycle starts with all HBR bits cleared (all blocks\n"
                 "evaluated at least once); a changed link value clears its\n"
                 "HBR bit and re-destabilizes the reader:\n");

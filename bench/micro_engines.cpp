@@ -9,7 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "core/noc_block.h"
-#include "core/sequential_simulator.h"
+#include "core/state_memory.h"
 #include "noc/network.h"
 #include "noc/router_logic.h"
 #include "noc/router_state.h"

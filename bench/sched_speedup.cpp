@@ -28,7 +28,7 @@
 #include "common/rng.h"
 #include "core/example_blocks.h"
 #include "core/noc_block.h"
-#include "core/sequential_simulator.h"
+#include "core/sharded_simulator.h"
 #include "core/system_model.h"
 #include "obs/engine_sinks.h"
 #include "traffic/harness.h"
@@ -124,8 +124,8 @@ struct ChainModel {
 Row measure_chain(const core::SystemModel& model,
                   const std::vector<core::LinkId>& ext,
                   core::SchedulerKind sched, std::size_t cycles) {
-  core::SequentialSimulator sim(model, core::SchedulePolicy::kDynamic, 256, 1,
-                                sched);
+  core::ShardedSimulator sim(model, {.max_evals_per_block = 256,
+                                     .scheduler = sched});
   SplitMix64 rng(0x5eed);
   BitVector v(16);
   std::uint64_t evals = 0;

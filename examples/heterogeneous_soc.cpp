@@ -26,7 +26,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/sequential_simulator.h"
+#include "core/sharded_simulator.h"
 
 namespace {
 
@@ -138,7 +138,7 @@ int main() {
   m.bind_input(producer, 0, error);
   m.finalize();
 
-  SequentialSimulator sim(m, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(m, {});
   DeltaCycle deltas = 0;
   for (int t = 0; t < 200; ++t) {
     deltas += sim.step().delta_cycles;

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/sequential_simulator.h"
+#include "core/sharded_simulator.h"
 
 namespace {
 
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     }
   }
   model.finalize();
-  SequentialSimulator sim(model, SchedulePolicy::kStatic);
+  ShardedSimulator sim(model, {.schedule = SchedulePolicy::kStatic});
 
   // Random input matrices (small values so products stay in 32 bits).
   SplitMix64 rng(123);

@@ -1,12 +1,12 @@
 // Engine: the contract every host-side simulation engine fulfils.
 //
-// The paper's engine is the sequential time-multiplexed simulator of §4
-// (SequentialSimulator). The sharded bulk-synchronous engine
-// (ShardedSimulator) recovers the parallelism §4 traded away while
-// keeping the same observable semantics. Everything above the engines —
-// the NoC facade, the FPGA design model, the differential test harness —
-// talks to this interface, so swapping engines can never change what a
-// workload observes, only how fast it runs.
+// The engine is ShardedSimulator. With one shard it is the paper's
+// sequential time-multiplexed simulator of §4; more shards recover the
+// parallelism §4 traded away while keeping the same observable
+// semantics. Everything above it — the NoC facade, the FPGA design
+// model, the differential test harness — talks to this interface, so a
+// shard count can never change what a workload observes, only how fast
+// it runs.
 //
 // Shared vocabulary (§4): a *system cycle* is one clock cycle of the
 // simulated parallel design; a *delta cycle* is one block evaluation and
@@ -111,14 +111,15 @@ struct StepStats {
   std::uint64_t worklist_high_water = 0;
   /// Combinational link writes whose value differed from memory.
   std::size_t link_changes = 0;
-  /// Settle/exchange rounds the cycle took: 1 for the sequential
-  /// schedules (one fixed-point search), the superstep count for the
-  /// sharded engine.
+  /// Settle/exchange rounds (supersteps) the cycle took: 1 for a
+  /// one-shard static or dynamic schedule, one per pass (2) for the
+  /// two-phase oracle, more when cut links need exchanges.
   std::uint64_t settle_rounds = 1;
-  /// Cut-link mailbox publishes (sharded engine only).
+  /// Cut-link mailbox publishes (0 with one shard).
   std::uint64_t cut_publishes = 0;
-  /// Barrier spin-loop iterations summed over shards (sharded only) —
-  /// the wait-skew signal Manticore-style instrumentation watches.
+  /// Barrier spin-loop iterations summed over shards (0 with one
+  /// shard) — the wait-skew signal Manticore-style instrumentation
+  /// watches.
   std::uint64_t barrier_spins = 0;
 
   /// Whole-struct equality: what the checkpoint/restore stats-stream
@@ -190,10 +191,10 @@ class SimObserver {
 /// Deliberately excluded from the checkpoint digest: it is not
 /// architectural state.
 ///
-/// The encoding is engine-agnostic: one cursor per shard (sequential
-/// engines have one "shard") and the quiescence flags in model block
-/// order. A restore into an engine whose shape does not match — or from
-/// a default-constructed (empty) snapshot — canonicalizes instead:
+/// The encoding is partition-agnostic: one cursor per shard and the
+/// quiescence flags in model block order. A restore into an engine whose
+/// shape does not match — or from a default-constructed (empty)
+/// snapshot — canonicalizes instead:
 /// cursors back to their seeded initial offsets, flags cleared. The
 /// compiled scheduler has no entry here at all: a static schedule
 /// carries zero dynamic scheduling state, which is what makes its
@@ -328,14 +329,13 @@ void restore_checkpoint(Engine& eng, const EngineCheckpoint& ck);
 /// instances reusable across farm jobs.
 void reset_engine(Engine& eng);
 
-/// Shared validation for Engine::set_external_input (the engines must
-/// reject exactly the same misuses to stay substitutable).
+/// Validation for Engine::set_external_input.
 void check_external_input(const SystemModel& model, LinkId link);
 
-/// Degenerate-topology gate for the worklist scheduler, applied by both
-/// engines at construction and re-checked (per shard) after
-/// partitioning. Rejects, with a structured error instead of a hang at
-/// the delta budget:
+/// Degenerate-topology gate for the worklist scheduler, applied at
+/// engine construction and re-checked (per shard) after partitioning.
+/// Rejects, with a structured error instead of a hang at the delta
+/// budget:
 ///  - combinational self-loop links (a block reading its own
 ///    combinational output), which the event-driven pickup would chase
 ///    in a tight requeue loop;

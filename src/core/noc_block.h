@@ -1,7 +1,7 @@
 // RouterBlock: the case-study router packaged as a SimBlock, and
 // SeqNocSimulation: the whole NoC wired into a SystemModel and executed by
-// the SequentialSimulator — i.e. the paper's FPGA simulator architecture
-// expressed over the core engine.
+// the core engine (one shard: the paper's sequential method) — i.e. the
+// paper's FPGA simulator architecture expressed over the core engine.
 //
 // Port convention of RouterBlock:
 //   inputs  0..4 — forward link arriving at input port p (21 bits)
@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "core/partition.h"
-#include "core/sequential_simulator.h"
+#include "core/engine.h"
 #include "core/sim_block.h"
 #include "core/system_model.h"
 #include "noc/network.h"
@@ -109,10 +109,10 @@ struct NocModel {
 /// `net` must outlive the returned model (RouterBlocks keep a pointer).
 NocModel build_noc_model(const noc::NetworkConfig& net);
 
-/// Engine selection for the NoC facade. num_shards == 1 runs the
-/// sequential engine (the paper's method); > 1 runs the sharded
-/// bulk-synchronous engine over the same model — bit-identical results,
-/// enforced by tests/integration/sharded_equivalence_test.cpp.
+/// Engine selection for the NoC facade. num_shards == 1 runs the paper's
+/// sequential method on the calling thread; > 1 runs it bulk-synchronous
+/// over that many shards — bit-identical results, enforced by
+/// tests/integration/sharded_equivalence_test.cpp.
 struct EngineOptions {
   SchedulePolicy policy = SchedulePolicy::kDynamic;
   std::size_t num_shards = 1;
@@ -129,7 +129,7 @@ struct EngineOptions {
   friend bool operator==(const EngineOptions&, const EngineOptions&) = default;
 };
 
-/// NocSimulation facade over a core engine (sequential by default).
+/// NocSimulation facade over the core engine (one shard by default).
 class SeqNocSimulation : public noc::NocSimulation {
  public:
   explicit SeqNocSimulation(const noc::NetworkConfig& net,

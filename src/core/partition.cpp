@@ -123,17 +123,20 @@ Partition partition_blocks(const SystemModel& model, std::size_t num_shards,
                   "more shards than blocks (empty shards are useless)");
 
   Partition p;
+  // One shard is the single in-order shard under every policy.
   p.shard_of.assign(n, 0);
-  switch (policy) {
-    case PartitionPolicy::kRoundRobin:
-      fill_round_robin(p, n, num_shards);
-      break;
-    case PartitionPolicy::kContiguous:
-      fill_contiguous(p, n, num_shards);
-      break;
-    case PartitionPolicy::kMinCutGreedy:
-      fill_min_cut_greedy(model, p, n, num_shards);
-      break;
+  if (num_shards > 1) {
+    switch (policy) {
+      case PartitionPolicy::kRoundRobin:
+        fill_round_robin(p, n, num_shards);
+        break;
+      case PartitionPolicy::kContiguous:
+        fill_contiguous(p, n, num_shards);
+        break;
+      case PartitionPolicy::kMinCutGreedy:
+        fill_min_cut_greedy(model, p, n, num_shards);
+        break;
+    }
   }
 
   p.shards.assign(num_shards, {});

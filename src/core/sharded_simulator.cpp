@@ -50,41 +50,30 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
   }
 
   // Classify every link: which shards materialize it, who owns the
-  // authoritative copy, and whether it crosses the cut (gets a mailbox
-  // slot). A cut link is materialized on both sides: the writer's copy
-  // does change detection, each reading shard's replica carries that
-  // shard's HBR bit.
+  // authoritative copy (the writer's shard, else the first reader's; an
+  // orphan link parks in shard 0), and whether it crosses the cut (gets
+  // a mailbox slot). A cut link is materialized on both sides: the
+  // writer's copy does change detection, each reading shard's replica
+  // carries that shard's HBR bit. One shard holds every link and cuts
+  // none, so it skips the walk over the reader sets.
   slot_of_link_.assign(model.num_links(), kNoSlot);
   link_home_.assign(model.num_links(), 0);
-  link_shards_.assign(model.num_links(), {});
   std::vector<std::size_t> slot_widths;
   std::vector<std::vector<char>> materialize(
-      k, std::vector<char>(model.num_links(), 0));
-  for (LinkId l = 0; l < model.num_links(); ++l) {
+      k, std::vector<char>(model.num_links(), k == 1 ? 1 : 0));
+  for (LinkId l = 0; k > 1 && l < model.num_links(); ++l) {
     const LinkInfo& info = model.link(l);
-    std::vector<std::size_t>& owners = link_shards_[l];
-    auto add_shard = [&owners](std::size_t s) {
-      if (std::find(owners.begin(), owners.end(), s) == owners.end()) {
-        owners.push_back(s);
-      }
-    };
-    std::size_t writer_shard = kNoSlot;
-    if (info.writer) {
-      writer_shard = part_.shard_of[info.writer->block];
-      add_shard(writer_shard);
-    }
+    const std::size_t home =
+        info.writer ? part_.shard_of[info.writer->block]
+        : info.readers.empty() ? 0
+                               : part_.shard_of[info.readers.front().block];
+    link_home_[l] = home;
+    materialize[home][l] = 1;
     bool crosses = false;
     for (const Endpoint& r : info.readers) {
       const std::size_t rs = part_.shard_of[r.block];
-      add_shard(rs);
-      crosses = crosses || (writer_shard != kNoSlot && rs != writer_shard);
-    }
-    if (owners.empty()) {
-      add_shard(0);  // orphan link (no writer, no readers): park in shard 0
-    }
-    link_home_[l] = owners.front();
-    for (const std::size_t s : owners) {
-      materialize[s][l] = 1;
+      materialize[rs][l] = 1;
+      crosses = crosses || (info.writer && rs != home);
     }
     if (crosses) {
       slot_of_link_[l] = slot_widths.size();
@@ -130,14 +119,15 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
         }
       }
     }
-    if (!blocks.empty()) {
-      // Per-shard cursor rotation, domain-separated by shard index so
-      // the shards do not all start at congruent positions.
-      sh->rr_next = schedule_rr_offset(
-          cfg_.schedule_seed == 1 ? 1 : cfg_.schedule_seed + 0x9e37u * (s + 1),
-          blocks.size());
-      sh->rr_init = sh->rr_next;
-    }
+    // Per-shard cursor rotation. Shard 0 takes the plain seed, so one
+    // shard rotates exactly like the paper's engine; the others are
+    // domain-separated by shard index so they do not all start at
+    // congruent positions.
+    const std::uint64_t seed = s == 0 || cfg_.schedule_seed == 1
+                                   ? cfg_.schedule_seed
+                                   : cfg_.schedule_seed + 0x9e37u * (s + 1);
+    sh->rr_next = schedule_rr_offset(seed, blocks.size());
+    sh->rr_init = sh->rr_next;
     if (cfg_.scheduler == SchedulerKind::kCompiled &&
         cfg_.schedule == SchedulePolicy::kDynamic) {
       // Per-shard static schedule over the link graph restricted to this
@@ -218,15 +208,27 @@ void ShardedSimulator::worker_main(std::size_t s) {
   }
 }
 
+bool ShardedSimulator::write_copies(LinkId link, const BitVector& value) {
+  // Workers are parked at the command barrier between steps, so writing
+  // the authoritative copy and every reader replica directly is
+  // race-free; the barrier's release/acquire pair publishes the values.
+  const std::size_t home = link_home_[link];
+  bool changed = shards_[home]->links.write(link, value);
+  if (shards_.size() == 1) {
+    return changed;  // one shard holds the only copy
+  }
+  for (const Endpoint& r : model_.link(link).readers) {
+    const std::size_t s = part_.shard_of[r.block];
+    if (s != home) {
+      changed = shards_[s]->links.write(link, value) || changed;
+    }
+  }
+  return changed;
+}
+
 void ShardedSimulator::set_external_input(LinkId link, const BitVector& value) {
   check_external_input(model_, link);
-  // Workers are parked at the command barrier between steps, so writing
-  // every replica directly is race-free; the barrier's release/acquire
-  // pair publishes the values to them.
-  bool changed = false;
-  for (const std::size_t s : link_shards_[link]) {
-    changed = shards_[s]->links.write(link, value) || changed;
-  }
+  const bool changed = write_copies(link, value);
   if (changed && cfg_.scheduler == SchedulerKind::kWorklist) {
     // Wake the quiescence fast path: the readers have fresh input, so
     // the next cycle's seeding must not skip them.
@@ -260,11 +262,7 @@ void ShardedSimulator::load_block_state(BlockId block, const BitVector& value) {
 
 void ShardedSimulator::load_link_value(LinkId link, const BitVector& value) {
   TMSIM_CHECK_MSG(link < model_.num_links(), "link index out of range");
-  // Workers are parked at the command barrier, so writing the
-  // authoritative copy and every reader replica directly is race-free.
-  for (const std::size_t s : link_shards_[link]) {
-    shards_[s]->links.write(link, value);
-  }
+  write_copies(link, value);
   const std::size_t slot = slot_of_link_[link];
   if (slot != kNoSlot) {
     // Re-publish through the mailbox too: a restore into an engine whose
@@ -274,6 +272,18 @@ void ShardedSimulator::load_link_value(LinkId link, const BitVector& value) {
     // value, so the poll's change detection fires no destabilization.
     mailbox_->publish(slot, value);
   }
+}
+
+const analysis::CompiledSchedule* ShardedSimulator::compiled_schedule(
+    std::size_t shard) const {
+  TMSIM_CHECK_MSG(shard < shards_.size(), "shard index out of range");
+  return shards_[shard]->compiled ? &*shards_[shard]->compiled : nullptr;
+}
+
+void ShardedSimulator::set_trace_hook(TraceHook hook) {
+  TMSIM_CHECK_MSG(shards_.size() == 1,
+                  "trace hooks need a one-shard engine (one delta order)");
+  trace_ = std::move(hook);
 }
 
 SchedulerCheckpoint ShardedSimulator::scheduler_checkpoint() const {
@@ -427,6 +437,7 @@ void ShardedSimulator::run_cycle(std::size_t s) {
   Shard& sh = *shards_[s];
   sh.stats = StepStats{};
   sh.diverged = false;
+  sh.fail_limit = 0;
   sh.cycle_failed = false;
   sh.supersteps = 0;
   sh.error = nullptr;
@@ -498,7 +509,7 @@ void ShardedSimulator::cycle_dynamic(Shard& sh) {
       }
     });
     if (sh.supersteps >= superstep_cap) {
-      sh.diverged = true;
+      diverge(sh, cfg_.max_evals_per_block * sh.blocks.size());
     }
     const bool more = exchange_round(sh);
     if (sh.cycle_failed || !more) {
@@ -552,7 +563,7 @@ void ShardedSimulator::settle_local_worklist(Shard& sh) {
     --sh.unstable_count;
     evaluate_block(sh, i);
     if (sh.stats.delta_cycles > budget) {
-      sh.diverged = true;
+      diverge(sh, budget);
       return;
     }
   }
@@ -601,7 +612,7 @@ void ShardedSimulator::cycle_compiled(Shard& sh) {
       run_compiled_schedule(sh);
     });
     if (sh.supersteps >= superstep_cap) {
-      sh.diverged = true;
+      diverge(sh, cfg_.max_evals_per_block * sh.blocks.size());
     }
     const bool more = exchange_round(sh);
     if (sh.cycle_failed || !more) {
@@ -620,7 +631,7 @@ void ShardedSimulator::run_compiled_schedule(Shard& sh) {
     } else {
       // kEval and kDrive run identically at execution time; the split
       // only matters for the emission proof (see static_schedule.h).
-      evaluate_block_compiled(sh, local_of_[op.block], nullptr);
+      evaluate_block(sh, local_of_[op.block]);
     }
   }
 }
@@ -650,7 +661,7 @@ void ShardedSimulator::settle_scc_local(Shard& sh, std::uint32_t scc_index) {
     while (sh.scc_unstable[cursor] == 0) {
       cursor = (cursor + 1) % m;
       if (++scanned > m) {
-        sh.diverged = true;
+        diverge(sh, limit);
         return;
       }
     }
@@ -658,91 +669,15 @@ void ShardedSimulator::settle_scc_local(Shard& sh, std::uint32_t scc_index) {
     cursor = (cursor + 1) % m;
     sh.scc_unstable[mi] = 0;
     --remaining;
-    evaluate_block_compiled(sh, local_of_[scc.blocks[mi]], &ctx);
+    evaluate_block(sh, local_of_[scc.blocks[mi]], &ctx);
     if (++spent > limit) {
-      sh.diverged = true;
+      diverge(sh, limit);
       return;
     }
   }
   for (const BlockId b : scc.blocks) {
     sh.unstable[local_of_[b]] = 0;
   }
-}
-
-void ShardedSimulator::evaluate_block_compiled(Shard& sh, std::size_t local,
-                                               const CompiledSettleCtx* ctx) {
-  // Lean compiled-mode evaluation: no HBR marking and — crucially — no
-  // same-shard destabilization outside a settle context. The full
-  // schedule replay makes intra-shard wakeups redundant, and marking
-  // them would keep unstable_count nonzero forever (an infinite
-  // superstep loop). Cut publication is identical to evaluate_block.
-  const BlockId b = sh.blocks[local];
-  const BlockInstance& blk = model_.block(b);
-  const SimBlock& logic = *blk.logic;
-  const std::size_t n_in = logic.num_inputs();
-  const std::size_t n_out = logic.num_outputs();
-
-  if (sh.in_scratch.size() < n_in) {
-    sh.in_scratch.resize(n_in, BitVector(0));
-  }
-  if (sh.out_scratch.size() < n_out) {
-    sh.out_scratch.resize(n_out, BitVector(0));
-  }
-  for (std::size_t p = 0; p < n_in; ++p) {
-    sh.in_scratch[p] = sh.links.read(blk.input_links[p]);
-  }
-  for (std::size_t p = 0; p < n_out; ++p) {
-    if (sh.out_scratch[p].width() != logic.output_width(p)) {
-      sh.out_scratch[p] = BitVector(logic.output_width(p));
-    }
-  }
-
-  // A drive op's state write is harmlessly overwritten by the block's
-  // later committing eval (the new slot is evaluated in place; the last
-  // evaluation in the op sequence always sees all-final inputs).
-  logic.evaluate_state(sh.state.read_old(local),
-                       std::span<const BitVector>(sh.in_scratch.data(), n_in),
-                       sh.state.new_slot(local),
-                       std::span<BitVector>(sh.out_scratch.data(), n_out));
-
-  for (std::size_t p = 0; p < n_out; ++p) {
-    const LinkId l = blk.output_links[p];
-    const bool changed = sh.links.write(l, sh.out_scratch[p]);
-    const std::size_t slot = slot_of_link_[l];
-    if (model_.link(l).kind == LinkKind::kCombinational) {
-      if (changed) {
-        ++sh.stats.link_changes;
-        sh.recent_changed_links[sh.recent_changed_count++ %
-                                Shard::kChangedLinkHistory] = l;
-        if (ctx && sh.compiled->scc_of_link[l] == ctx->scc_id) {
-          // Intra-SCC edge changed mid-settle: wake the (single) reader.
-          const BlockId r = model_.link(l).readers.front().block;
-          const auto it = std::lower_bound(ctx->scc->blocks.begin(),
-                                           ctx->scc->blocks.end(), r);
-          const std::size_t mi =
-              static_cast<std::size_t>(it - ctx->scc->blocks.begin());
-          if (!(*ctx->unstable)[mi]) {
-            (*ctx->unstable)[mi] = 1;
-            ++*ctx->remaining;
-          }
-          sh.unstable[local_of_[r]] = 1;  // report mirror
-        }
-        if (slot != kNoSlot) {
-          mailbox_->publish(slot, sh.out_scratch[p]);
-          ++sh.stats.cut_publishes;
-        }
-      }
-    } else if (slot != kNoSlot) {
-      mailbox_->publish(slot, sh.out_scratch[p]);
-      ++sh.stats.cut_publishes;
-    }
-  }
-
-  if (!sh.evaluated[local]) {
-    sh.evaluated[local] = 1;
-    ++sh.first_evals;
-  }
-  ++sh.stats.delta_cycles;
 }
 
 bool ShardedSimulator::exchange_round(Shard& sh) {
@@ -794,7 +729,7 @@ void ShardedSimulator::settle_local(Shard& sh) {
     while (sh.unstable[sh.rr_next] == 0) {
       sh.rr_next = (sh.rr_next + 1) % ln;
       if (++scanned > ln) {
-        sh.diverged = true;
+        diverge(sh, budget);
         return;
       }
     }
@@ -811,7 +746,7 @@ void ShardedSimulator::settle_local(Shard& sh) {
       destabilize_local(sh, sh.blocks[i]);
     }
     if (sh.stats.delta_cycles > budget) {
-      sh.diverged = true;
+      diverge(sh, budget);
       return;
     }
   }
@@ -823,7 +758,13 @@ void ShardedSimulator::evaluate_all_local(Shard& sh) {
   }
 }
 
-void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local) {
+void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local,
+                                      const CompiledSettleCtx* ctx) {
+  // Under the compiled schedule the op order already guarantees every
+  // input a committing evaluation consumes is final: no HBR marks and no
+  // same-shard destabilization (which would keep unstable_count nonzero
+  // forever), except the scoped wakeups inside a settling SCC.
+  const bool hbr = !sh.compiled;
   if (cfg_.scheduler == SchedulerKind::kWorklist) {
     // Everything pending is consumed by this evaluation; activity that
     // arrives later (same-shard writes below, phase B deliveries,
@@ -844,11 +785,12 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local) {
   }
 
   // Latch inputs from the shard-local LinkMemory (cut links read the
-  // local replica) and set their HBR bits.
+  // local replica) and set their HBR bits: a later changed write to any
+  // of them must destabilize this block.
   for (std::size_t p = 0; p < n_in; ++p) {
     const LinkId l = blk.input_links[p];
     sh.in_scratch[p] = sh.links.read(l);
-    if (model_.link(l).kind == LinkKind::kCombinational) {
+    if (hbr && model_.link(l).kind == LinkKind::kCombinational) {
       sh.links.mark_read(l);
     }
   }
@@ -859,6 +801,8 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local) {
     }
   }
 
+  // Re-evaluation (or a compiled drive op) overwrites the new slot in
+  // place; the last evaluation of the cycle is the committed one.
   logic.evaluate_state(sh.state.read_old(local),
                        std::span<const BitVector>(sh.in_scratch.data(), n_in),
                        sh.state.new_slot(local),
@@ -873,30 +817,44 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local) {
 
   for (std::size_t p = 0; p < n_out; ++p) {
     const LinkId l = blk.output_links[p];
+    // Only a combinational write can report a change (registered writes
+    // go to the new bank and never destabilize, §4.1).
     const bool changed = sh.links.write(l, sh.out_scratch[p]);
-    const std::size_t slot = slot_of_link_[l];
-    if (model_.link(l).kind == LinkKind::kCombinational) {
-      if (changed) {
-        ++sh.stats.link_changes;
-        sh.recent_changed_links[sh.recent_changed_count++ %
-                                Shard::kChangedLinkHistory] = l;
+    if (changed) {
+      ++sh.stats.link_changes;
+      sh.recent_changed_links[sh.recent_changed_count++ %
+                              Shard::kChangedLinkHistory] = l;
+      if (hbr) {
+        // "if the router writes a value to a link, which is not equal to
+        //  the current value in the memory, it will reset this link's
+        //  status bit to zero" — destabilizing the reader. Same-shard
+        //  readers at once, cross-shard ones at their next exchange.
         sh.links.clear_hbr(l);
-        // Same-shard readers destabilize immediately; cross-shard
-        // readers at their next exchange phase, via the mailbox.
         for (const Endpoint& reader : model_.link(l).readers) {
           if (part_.shard_of[reader.block] == sh.index) {
             destabilize_local(sh, reader.block);
           }
         }
-        if (slot != kNoSlot) {
-          mailbox_->publish(slot, sh.out_scratch[p]);
-          ++sh.stats.cut_publishes;
+      } else if (ctx && sh.compiled->scc_of_link[l] == ctx->scc_id) {
+        // Intra-SCC edge changed mid-settle: wake the (single) reader.
+        const BlockId r = model_.link(l).readers.front().block;
+        const auto it = std::lower_bound(ctx->scc->blocks.begin(),
+                                         ctx->scc->blocks.end(), r);
+        const std::size_t mi =
+            static_cast<std::size_t>(it - ctx->scc->blocks.begin());
+        if (!(*ctx->unstable)[mi]) {
+          (*ctx->unstable)[mi] = 1;
+          ++*ctx->remaining;
         }
+        sh.unstable[local_of_[r]] = 1;  // report mirror
       }
-    } else if (slot != kNoSlot) {
-      // Registered cut link: publish every write — re-evaluation may
-      // rewrite the new bank, and the reader's replica must converge to
-      // the final value. Registered links never destabilize (§4.1).
+    }
+    // Cut links publish every changed combinational write, and every
+    // registered write — re-evaluation may rewrite the new bank, and the
+    // reader's replica must converge to the final value.
+    const std::size_t slot = slot_of_link_[l];
+    if (slot != kNoSlot &&
+        (changed || model_.link(l).kind == LinkKind::kRegistered)) {
       mailbox_->publish(slot, sh.out_scratch[p]);
       ++sh.stats.cut_publishes;
     }
@@ -907,6 +865,9 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local) {
     ++sh.first_evals;
   }
   ++sh.stats.delta_cycles;
+  if (trace_) {
+    trace_(cycle_, sh.stats.delta_cycles - 1, b);
+  }
 }
 
 void ShardedSimulator::apply_incoming(Shard& sh) {
@@ -961,9 +922,14 @@ bool ShardedSimulator::inputs_all_read(const Shard& sh, BlockId global) const {
   return true;
 }
 
+void ShardedSimulator::diverge(Shard& sh, DeltaCycle limit) {
+  sh.diverged = true;
+  sh.fail_limit = limit;
+}
+
 void ShardedSimulator::fill_report(Shard& sh) {
   sh.report.delta_cycles = sh.stats.delta_cycles;
-  sh.report.limit = cfg_.max_evals_per_block * sh.blocks.size();
+  sh.report.limit = sh.fail_limit;
   sh.report.num_blocks = sh.blocks.size();
   sh.report.link_changes = sh.stats.link_changes;
   for (std::size_t i = 0; i < sh.blocks.size(); ++i) {

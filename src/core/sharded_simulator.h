@@ -1,7 +1,30 @@
-// ShardedSimulator: a bulk-synchronous parallel engine over the same
-// SystemModel the SequentialSimulator executes — the paper's §4 engine
-// with the parallelism put back (Manticore's static bulk-synchronous
-// style, with the partition chosen by src/core/partition.h).
+// ShardedSimulator: the engine. With one shard it *is* the paper's
+// sequential time-multiplexed simulator (§4): one double-banked state
+// memory, one link memory with HBR bits, one round-robin scheduler, run
+// on the calling thread with no worker threads and no cut links. More
+// shards put back the parallelism §4 traded away (Manticore's static
+// bulk-synchronous style, with the partition chosen by
+// src/core/partition.h) while keeping the same observable semantics.
+//
+// Terminology (§4): a *system cycle* is one clock cycle of the simulated
+// parallel design; a *delta cycle* is one block evaluation and does not
+// advance simulated time. A system cycle takes at least num_blocks delta
+// cycles. Three schedules:
+//
+//  - kStatic (§4.1, Fig. 3): legal only when every internal boundary is
+//    registered. One pass over the blocks in index order; readers consume
+//    previous-cycle values from the old bank. Exactly num_blocks delta
+//    cycles per system cycle.
+//  - kDynamic (§4.2, Fig. 5): the paper's method for combinational
+//    boundaries. All HBR bits are cleared at the start of the system
+//    cycle (so every block is evaluated at least once); the scheduler
+//    evaluates non-stable blocks; writing a *changed* value to a link
+//    clears its HBR bit and destabilizes its reader; the cycle ends when
+//    all blocks are stable.
+//  - kTwoPhaseOracle: an ablation, not in the paper, for designs whose
+//    outputs depend on registered state only (the case-study router):
+//    pass 1 publishes every output, pass 2 re-evaluates every block with
+//    final links. Exactly 2 x num_blocks delta cycles.
 //
 // The model's blocks are split into N shards; one worker thread runs
 // each shard (the constructing thread doubles as shard 0's worker).
@@ -13,7 +36,7 @@
 // through a versioned single-writer mailbox slot at every delta-cycle
 // barrier.
 //
-// One system cycle of the dynamic (§4.2) schedule is a sequence of
+// One system cycle of the dynamic schedule is a sequence of
 // *supersteps*:
 //
 //   phase A  every shard round-robins over its non-stable blocks until
@@ -25,28 +48,31 @@
 //            one superstep late;
 //   barrier  (agrees "how many blocks are unstable anywhere?"),
 //
-// repeated until the global count is zero. HBR convergence semantics
-// are preserved exactly: a block is re-evaluated whenever any input
-// changed after it last read it (locally at once, across shards at the
-// next superstep), and the cycle ends only when no link anywhere
-// changed and every block is stable. The final link fixed point — and
-// therefore every register bit — is the one the sequential engine
-// reaches, for any schedule policy; tests/integration/
+// repeated until the global count is zero. A block is re-evaluated
+// whenever any input changed after it last read it (locally at once,
+// across shards at the next superstep), and the cycle ends only when no
+// link anywhere changed and every block is stable. The final link fixed
+// point — and therefore every register bit — is independent of the
+// shard count and the partition; tests/integration/
 // sharded_equivalence_test.cpp enforces this differentially. Only
 // StepStats may differ (the schedules do different amounts of
-// re-evaluation work).
+// re-evaluation work). With one shard every barrier is trivial, each
+// schedule takes one superstep (two-phase: one per pass), and the
+// StepStats stream is the paper engine's (tests/core/
+// step_stats_golden_test.cpp pins it).
 //
 // Divergence (an oscillating combinational loop) is detected
 // cooperatively: per-shard evaluation budgets and a superstep bound are
 // reduced through the barrier so every worker abandons the cycle at the
-// same point, and step() throws the same ConvergenceError the
-// sequential engine would, with the shards' reports merged.
+// same point, and step() throws one ConvergenceError with the shards'
+// reports merged.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -62,8 +88,8 @@
 namespace tmsim::core {
 
 struct ShardedConfig {
-  /// Worker count; clamped to the model's block count. 1 degenerates to
-  /// the sequential engine's behaviour on the calling thread.
+  /// Worker count; clamped to the model's block count. 1 runs the
+  /// paper's engine on the calling thread.
   std::size_t num_shards = 1;
   PartitionPolicy partition = PartitionPolicy::kMinCutGreedy;
   SchedulePolicy schedule = SchedulePolicy::kDynamic;
@@ -71,8 +97,9 @@ struct ShardedConfig {
   /// exceeding either means a non-settling combinational loop.
   std::size_t max_evals_per_block = 64;
   /// Rotates each shard's starting round-robin cursor (dynamic
-  /// schedule). Seed 1 is canonical (cursor 0 everywhere); results are
-  /// schedule-independent, so this can only change StepStats.
+  /// schedule; see schedule_rr_offset). Seed 1 is canonical (cursor 0
+  /// everywhere); results are schedule-independent, so this can only
+  /// change StepStats.
   std::uint64_t schedule_seed = 1;
   /// Non-stable-block pickup within phase A of each superstep:
   /// kRoundRobin is the dense §4.2 sweep, kWorklist the event-driven
@@ -117,6 +144,17 @@ class ShardedSimulator : public Engine {
   /// Barrier-separated supersteps executed so far (at least one per
   /// system cycle; each superstep is a settle + exchange round).
   std::uint64_t total_supersteps() const { return total_supersteps_; }
+
+  /// Shard `shard`'s build-time schedule (kCompiled only; nullptr
+  /// otherwise) — for tests and the schedule-inspection tooling.
+  const analysis::CompiledSchedule* compiled_schedule(std::size_t shard) const;
+
+  /// Called once per delta cycle with (system cycle, delta index within
+  /// the cycle, evaluated block) — the Fig. 3 / Fig. 5 schedule traces.
+  /// One-shard engines only (throws otherwise): concurrent shards have
+  /// no single delta order to report.
+  using TraceHook = std::function<void(SystemCycle, DeltaCycle, BlockId)>;
+  void set_trace_hook(TraceHook hook);
 
  private:
   struct InSlot {
@@ -165,6 +203,7 @@ class ShardedSimulator : public Engine {
     // Per-cycle outcome, read by the coordinator after the final barrier.
     StepStats stats;
     bool diverged = false;
+    DeltaCycle fail_limit = 0;  // the budget this shard ran out of
     bool cycle_failed = false;
     std::size_t supersteps = 0;
     std::exception_ptr error;
@@ -190,7 +229,7 @@ class ShardedSimulator : public Engine {
   };
 
   /// Settle context threaded through compiled-mode evaluations while a
-  /// CompiledScc runs its scoped worklist (see SequentialSimulator).
+  /// CompiledScc runs its scoped worklist.
   struct CompiledSettleCtx {
     const analysis::CompiledScc* scc = nullptr;
     std::uint32_t scc_id = 0;  ///< scc index + 1 (scc_of_link encoding)
@@ -204,9 +243,8 @@ class ShardedSimulator : public Engine {
   void cycle_dynamic(Shard& sh);
   void cycle_compiled(Shard& sh);
   void cycle_two_phase(Shard& sh);
-  void evaluate_block(Shard& sh, std::size_t local);
-  void evaluate_block_compiled(Shard& sh, std::size_t local,
-                               const CompiledSettleCtx* ctx);
+  void evaluate_block(Shard& sh, std::size_t local,
+                      const CompiledSettleCtx* ctx = nullptr);
   void run_compiled_schedule(Shard& sh);
   void settle_scc_local(Shard& sh, std::uint32_t scc_index);
   void settle_local(Shard& sh);
@@ -216,6 +254,8 @@ class ShardedSimulator : public Engine {
   void apply_incoming(Shard& sh);
   void destabilize_local(Shard& sh, BlockId global);
   bool inputs_all_read(const Shard& sh, BlockId global) const;
+  bool write_copies(LinkId link, const BitVector& value);
+  void diverge(Shard& sh, DeltaCycle limit);
   void fill_report(Shard& sh);
   template <typename F>
   void guarded(Shard& sh, F&& f);
@@ -224,13 +264,14 @@ class ShardedSimulator : public Engine {
   /// global instability. Returns false when the cycle must be abandoned.
   bool exchange_round(Shard& sh);
 
+  friend class ShardedSimulatorTestPeer;
+
   const SystemModel& model_;
   ShardedConfig cfg_;
   Partition part_;
   std::size_t boundary_links_ = 0;
   std::vector<std::size_t> local_of_;       // global block -> local index
   std::vector<std::size_t> link_home_;      // link -> authoritative shard
-  std::vector<std::vector<std::size_t>> link_shards_;  // link -> replicas
   std::vector<std::size_t> slot_of_link_;   // link -> mailbox slot (or npos)
 
   std::unique_ptr<ShardMailbox> mailbox_;
@@ -238,6 +279,7 @@ class ShardedSimulator : public Engine {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> threads_;
   bool stop_ = false;
+  TraceHook trace_;
 
   SystemCycle cycle_ = 0;
   DeltaCycle total_delta_cycles_ = 0;

@@ -1,7 +1,8 @@
 // FpgaDesign: functional model of the Figure-7 FPGA design.
 //
-// The design couples the sequential NoC simulator (core engine with one
-// router block per simulated router, dynamic HBR schedule) with:
+// The design couples the NoC simulator (the core engine, whose one-shard
+// form is the paper's §4 sequential engine: one router block per
+// simulated router, dynamic HBR schedule) with:
 //   - per-(router, VC) stimuli cyclic buffers (ARM writes, HW consumes),
 //   - per-router output cyclic buffers (HW writes, ARM reads),
 //   - a link-probe monitor buffer and an access-delay monitor buffer —
@@ -53,9 +54,9 @@ struct FpgaBuildConfig {
   std::size_t monitor_buffer_depth = 64;
   /// Largest network the BRAM budget was provisioned for.
   std::size_t max_routers = 256;
-  /// Simulation-engine shard count: 1 = the paper's sequential engine,
-  /// > 1 = the sharded bulk-synchronous engine (bit-identical results;
-  /// clamped to the router count).
+  /// Simulation-engine shard count: 1 = the paper's §4 engine on the
+  /// calling thread, > 1 = the same engine bulk-synchronous over that
+  /// many shards (bit-identical results; clamped to the router count).
   std::size_t num_shards = 1;
   /// Block-to-shard assignment policy when num_shards > 1.
   core::PartitionPolicy partition = core::PartitionPolicy::kMinCutGreedy;

@@ -11,7 +11,6 @@
 
 #include "core/engine.h"
 #include "core/example_blocks.h"
-#include "core/sequential_simulator.h"
 #include "core/sharded_simulator.h"
 #include "core/system_model.h"
 
@@ -57,8 +56,7 @@ struct PipeChain {
 /// The deterministic stimulus both halves of every test replay.
 std::uint64_t stimulus(SystemCycle cycle) { return (7 * cycle + 3) & 0xffff; }
 
-void drive(SequentialSimulator& sim, const PipeChain& chain,
-           SystemCycle cycles) {
+void drive(Engine& sim, const PipeChain& chain, SystemCycle cycles) {
   for (SystemCycle i = 0; i < cycles; ++i) {
     sim.set_external_input(chain.x, val(16, stimulus(sim.cycle())));
     sim.step();
@@ -67,7 +65,7 @@ void drive(SequentialSimulator& sim, const PipeChain& chain,
 
 TEST(EngineCheckpoint, ContinueVsRestoreIntoFreshEngineBitIdentical) {
   PipeChain a_chain;
-  SequentialSimulator a(a_chain.model, SchedulePolicy::kDynamic);
+  ShardedSimulator a(a_chain.model, {});
   drive(a, a_chain, 10);
   const EngineCheckpoint ck = save_checkpoint(a);
   EXPECT_EQ(ck.cycle, 10u);
@@ -79,8 +77,7 @@ TEST(EngineCheckpoint, ContinueVsRestoreIntoFreshEngineBitIdentical) {
   // A *different* engine instance over its own (identical) model, with a
   // different schedule seed — evaluation order must not matter.
   PipeChain b_chain;
-  SequentialSimulator b(b_chain.model, SchedulePolicy::kDynamic,
-                        /*max_evals_per_block=*/64, /*schedule_seed=*/99);
+  ShardedSimulator b(b_chain.model, {.schedule_seed = 99});
   restore_checkpoint(b, ck);
   EXPECT_EQ(b.cycle(), 10u);
   EXPECT_EQ(engine_state_digest(b), ck.digest);
@@ -95,7 +92,7 @@ TEST(EngineCheckpoint, ContinueVsRestoreIntoFreshEngineBitIdentical) {
 
 TEST(EngineCheckpoint, TamperedCheckpointIsRejected) {
   PipeChain chain;
-  SequentialSimulator sim(chain.model, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(chain.model, {});
   drive(sim, chain, 5);
   {
     EngineCheckpoint ck = save_checkpoint(sim);
@@ -124,14 +121,14 @@ TEST(EngineCheckpoint, RegisteredInternalLinksAreNotCheckpointable) {
   model.bind_input(b2, 0, r1);
   model.bind_output(b2, 0, r2);
   model.finalize();
-  SequentialSimulator sim(model, SchedulePolicy::kStatic);
+  ShardedSimulator sim(model, {.schedule = SchedulePolicy::kStatic});
   sim.step();
   EXPECT_THROW(save_checkpoint(sim), std::exception);
 }
 
 TEST(EngineCheckpoint, ResetEngineReturnsToPowerOn) {
   PipeChain chain;
-  SequentialSimulator sim(chain.model, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(chain.model, {});
   const std::uint64_t power_on = engine_state_digest(sim);
   drive(sim, chain, 12);
   ASSERT_NE(engine_state_digest(sim), power_on);
@@ -142,7 +139,7 @@ TEST(EngineCheckpoint, ResetEngineReturnsToPowerOn) {
 
   // The reused engine replays the original trajectory exactly.
   PipeChain fresh_chain;
-  SequentialSimulator fresh(fresh_chain.model, SchedulePolicy::kDynamic);
+  ShardedSimulator fresh(fresh_chain.model, {});
   drive(sim, chain, 12);
   drive(fresh, fresh_chain, 12);
   EXPECT_EQ(engine_state_digest(sim), engine_state_digest(fresh));
@@ -181,8 +178,7 @@ TEST(SchedulerCheckpoint, SequentialStatsStreamSurvivesPreemption) {
         SchedulerKind::kCompiled}) {
     SCOPED_TRACE(scheduler_kind_name(kind));
     PipeChain a_chain;
-    SequentialSimulator a(a_chain.model, SchedulePolicy::kDynamic, 64, 1,
-                          kind);
+    ShardedSimulator a(a_chain.model, {.scheduler = kind});
     drive_recording(a, a_chain, 9, stimulus);
     const EngineCheckpoint ck = save_checkpoint(a);
     const std::vector<StepStats> ref =
@@ -191,8 +187,7 @@ TEST(SchedulerCheckpoint, SequentialStatsStreamSurvivesPreemption) {
     // The resumed-onto engine first ran a different workload, so its
     // cursor, quiescence flags, and link values are all foreign.
     PipeChain b_chain;
-    SequentialSimulator b(b_chain.model, SchedulePolicy::kDynamic, 64, 1,
-                          kind);
+    ShardedSimulator b(b_chain.model, {.scheduler = kind});
     drive_recording(b, b_chain, 5, other_stimulus);
     restore_checkpoint(b, ck);
     EXPECT_EQ(engine_state_digest(b), ck.digest);
@@ -250,8 +245,7 @@ TEST(SchedulerCheckpoint, ShardedStatsStreamSurvivesPreemption) {
 
 TEST(SchedulerCheckpoint, TamperedLinkSnapshotIsRejected) {
   PipeChain chain;
-  SequentialSimulator sim(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                          SchedulerKind::kWorklist);
+  ShardedSimulator sim(chain.model, {.scheduler = SchedulerKind::kWorklist});
   drive(sim, chain, 5);
   EngineCheckpoint ck = save_checkpoint(sim);
   ASSERT_FALSE(ck.link_ids.empty());
@@ -264,16 +258,14 @@ TEST(SchedulerCheckpoint, LegacyCheckpointWithoutSnapshotCanonicalizes) {
   // restore like a power-on engine at that state: accepted, and the
   // scheduler starts from canonical cursors/flags.
   PipeChain chain;
-  SequentialSimulator sim(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                          SchedulerKind::kWorklist);
+  ShardedSimulator sim(chain.model, {.scheduler = SchedulerKind::kWorklist});
   drive(sim, chain, 6);
   EngineCheckpoint ck = save_checkpoint(sim);
   ck.link_ids.clear();
   ck.link_values.clear();
   ck.link_digest = 0;
   ck.sched = SchedulerCheckpoint{};
-  SequentialSimulator fresh(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                            SchedulerKind::kWorklist);
+  ShardedSimulator fresh(chain.model, {.scheduler = SchedulerKind::kWorklist});
   restore_checkpoint(fresh, ck);  // must not throw
   EXPECT_EQ(fresh.cycle(), 6u);
   // Without restored link values the quiescence flags were cleared, so

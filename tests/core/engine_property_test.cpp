@@ -1,4 +1,4 @@
-// Property tests of the sequential engine on randomly generated
+// Property tests of the one-shard engine on randomly generated
 // netlists, checked against an independent reference interpreter.
 //
 // The reference evaluates the same netlist with a naive fixpoint solver
@@ -14,7 +14,7 @@
 
 #include "common/rng.h"
 #include "core/example_blocks.h"
-#include "core/sequential_simulator.h"
+#include "core/sharded_simulator.h"
 
 namespace tmsim::core {
 namespace {
@@ -179,7 +179,7 @@ TEST_P(RandomNetlistProperty, DynamicScheduleMatchesFixpointReference) {
   const std::uint64_t seed = GetParam();
   SplitMix64 stimuli_rng(seed ^ 0xabcdef);
   RandomNetlist net(seed, 12);
-  SequentialSimulator sim(net.model, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(net.model, {});
   Reference ref(net);
 
   for (int cycle = 0; cycle < 60; ++cycle) {
@@ -212,7 +212,7 @@ TEST(RandomNetlistProperty, DeltaCyclesBoundedByEvalLimit) {
   // re-evaluation per topological level.
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
     RandomNetlist net(seed, 12);
-    SequentialSimulator sim(net.model, SchedulePolicy::kDynamic);
+    ShardedSimulator sim(net.model, {});
     for (int cycle = 0; cycle < 20; ++cycle) {
       const StepStats st = sim.step();
       ASSERT_LE(st.delta_cycles, 12u * 12u) << "seed " << seed;

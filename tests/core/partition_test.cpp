@@ -117,6 +117,29 @@ TEST(Partition, SingleShardCutsNothing) {
   }
 }
 
+TEST(Partition, SingleShardIsTheInOrderShardUnderEveryPolicy) {
+  // One shard is the paper's engine: every block in model order, whatever
+  // the policy asks for (no greedy growth to pay for at engine build).
+  noc::NetworkConfig net;
+  net.width = 4;
+  net.height = 3;
+  const NocModel nm = build_noc_model(net);
+  const SystemModel ring = make_ring(9);
+  for (const SystemModel* m : {&nm.model, &ring}) {
+    std::vector<BlockId> in_order(m->num_blocks());
+    for (BlockId b = 0; b < m->num_blocks(); ++b) {
+      in_order[b] = b;
+    }
+    for (const PartitionPolicy pol : kAllPolicies) {
+      SCOPED_TRACE(partition_policy_name(pol));
+      const Partition p = partition_blocks(*m, 1, pol);
+      ASSERT_EQ(p.num_shards(), 1u);
+      EXPECT_EQ(p.shards[0], in_order);
+      EXPECT_EQ(p.shard_of, std::vector<std::size_t>(m->num_blocks(), 0));
+    }
+  }
+}
+
 TEST(Partition, ExternalLinksNeverCountAsCut) {
   // A NoC model has 3 external links per router (local in/out/credit);
   // with one router per shard every *internal* link is cut, but the

@@ -1,4 +1,7 @@
-#include "core/sequential_simulator.h"
+// The paper's method (§4) as the one-shard engine: static (Fig. 3) and
+// dynamic HBR (Fig. 5) schedules, convergence detection, the two-phase
+// oracle, and the per-scheduler StepStats accounting.
+#include "core/sharded_simulator.h"
 
 #include <gtest/gtest.h>
 
@@ -51,7 +54,7 @@ struct RegRing {
 
 TEST(StaticSchedule, RegisteredRingMatchesHandComputedValues) {
   RegRing ring(1, 10, 100);
-  SequentialSimulator sim(ring.model, SchedulePolicy::kStatic);
+  ShardedSimulator sim(ring.model, {.schedule = SchedulePolicy::kStatic});
   // Reference model: r1' = r3+1, r2' = r1+10, r3' = r2+100, all in
   // parallel from the previous cycle's values.
   std::uint64_t r1 = 0, r2 = 0, r3 = 0;
@@ -76,8 +79,8 @@ TEST(StaticSchedule, DynamicPolicyGivesIdenticalResultsOnRegisteredRing) {
   // must produce the same trajectory with the same delta-cycle count
   // (no boundary can change after being read).
   RegRing a(3, 5, 7), b(3, 5, 7);
-  SequentialSimulator s_static(a.model, SchedulePolicy::kStatic);
-  SequentialSimulator s_dyn(b.model, SchedulePolicy::kDynamic);
+  ShardedSimulator s_static(a.model, {.schedule = SchedulePolicy::kStatic});
+  ShardedSimulator s_dyn(b.model, {});
   for (int cycle = 0; cycle < 50; ++cycle) {
     s_static.step();
     const StepStats st = s_dyn.step();
@@ -101,8 +104,9 @@ TEST(StaticSchedule, RejectsCombinationalBoundaries) {
   m.bind_input(b, 0, mid);
   m.bind_output(b, 0, out);
   m.finalize();
-  EXPECT_THROW(SequentialSimulator(m, SchedulePolicy::kStatic), Error);
-  SequentialSimulator ok(m, SchedulePolicy::kDynamic);  // fine
+  EXPECT_THROW(ShardedSimulator(m, {.schedule = SchedulePolicy::kStatic}),
+               Error);
+  ShardedSimulator ok(m, {});  // fine
 }
 
 /// Fig. 4/5 system: ring of three PipeBlocks over combinational links.
@@ -131,7 +135,7 @@ struct PipeRing {
 
 TEST(DynamicSchedule, CombinationalRingMatchesReference) {
   PipeRing ring({5, 20, 90});
-  SequentialSimulator sim(ring.model, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(ring.model, {});
   // Reference: out_i = s_i + 1 (combinational, current cycle);
   // s_i(t+1) = out_{i-1}(t).
   std::uint64_t s[3] = {5, 20, 90};
@@ -151,7 +155,7 @@ TEST(DynamicSchedule, CombinationalRingMatchesReference) {
 
 TEST(DynamicSchedule, StateOnlyOutputsNeedAtMostOneReEvalPerBlock) {
   PipeRing ring({1, 2, 3});
-  SequentialSimulator sim(ring.model, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(ring.model, {});
   for (int cycle = 0; cycle < 30; ++cycle) {
     const StepStats st = sim.step();
     EXPECT_GE(st.delta_cycles, 3u);
@@ -163,7 +167,7 @@ TEST(DynamicSchedule, EveryBlockEvaluatedAtLeastOncePerCycle) {
   // "it is guaranteed that all routers are evaluated at least once" —
   // even a completely idle system pays one delta cycle per block.
   PipeRing ring({0, 0, 0});
-  SequentialSimulator sim(ring.model, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(ring.model, {});
   std::vector<int> evals(3, 0);
   sim.set_trace_hook([&](SystemCycle, DeltaCycle, BlockId b) { ++evals[b]; });
   sim.step();
@@ -190,7 +194,7 @@ TEST(DynamicSchedule, CombChainPropagatesWithinOneSystemCycle) {
   m.bind_input(c, 0, bc);
   m.bind_output(c, 0, out);
   m.finalize();
-  SequentialSimulator sim(m, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(m, {});
   sim.set_external_input(in, val(8, 10));
   StepStats st = sim.step();
   EXPECT_EQ(sim.link_value(out).get_field(0, 8), 16u);
@@ -216,7 +220,7 @@ TEST(DynamicSchedule, TwoInverterRingSettlesToALatchState) {
   m.bind_output(b, 0, ba);
   m.bind_input(a, 0, ba);
   m.finalize();
-  SequentialSimulator sim(m, SchedulePolicy::kDynamic, /*max_evals=*/16);
+  ShardedSimulator sim(m, {.max_evals_per_block = 16});
   sim.step();
   EXPECT_NE(sim.link_value(ab).get_field(0, 1),
             sim.link_value(ba).get_field(0, 1));
@@ -239,7 +243,7 @@ TEST(DynamicSchedule, DetectsOscillatingRingOfThreeInverters) {
     m.bind_input(blocks[(i + 1) % 3], 0, links[i]);
   }
   m.finalize();
-  SequentialSimulator sim(m, SchedulePolicy::kDynamic, /*max_evals=*/16);
+  ShardedSimulator sim(m, {.max_evals_per_block = 16});
   EXPECT_THROW(sim.step(), Error);
 }
 
@@ -261,7 +265,7 @@ TEST(DynamicSchedule, ConvergenceErrorCarriesAStructuredReport) {
     m.bind_input(blocks[(i + 1) % 3], 0, links[i]);
   }
   m.finalize();
-  SequentialSimulator sim(m, SchedulePolicy::kDynamic, /*max_evals=*/16);
+  ShardedSimulator sim(m, {.max_evals_per_block = 16});
   try {
     sim.step();
     FAIL() << "oscillating ring must not settle";
@@ -300,7 +304,7 @@ TEST(DynamicSchedule, DetectsOscillatingSelfLoop) {
   m.bind_output(a, 0, aa);
   m.bind_input(a, 0, aa);
   m.finalize();
-  SequentialSimulator sim(m, SchedulePolicy::kDynamic, /*max_evals=*/16);
+  ShardedSimulator sim(m, {.max_evals_per_block = 16});
   EXPECT_THROW(sim.step(), Error);
 }
 
@@ -317,7 +321,7 @@ TEST(DynamicSchedule, SettlingCombinationalLoopConverges) {
   m.bind_output(b, 0, ba);
   m.bind_input(a, 0, ba);
   m.finalize();
-  SequentialSimulator sim(m, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(m, {});
   const StepStats st = sim.step();
   EXPECT_LE(st.delta_cycles, 4u);
 }
@@ -353,7 +357,7 @@ TEST(DynamicSchedule, IdleNetworkCostsExactlyOnePassPerCycle) {
   // unchanged rewrites of every link must not destabilize the readers —
   // one pass total, never one pass per reader.
   CombChain chain;
-  SequentialSimulator sim(chain.m, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(chain.m, {});
   sim.set_external_input(chain.in, val(8, 10));
   sim.step();  // settling cycle: re-evaluations allowed
   for (int cycle = 0; cycle < 5; ++cycle) {
@@ -370,9 +374,7 @@ TEST(DynamicSchedule, WorklistSkipsAnIdleNetworkEntirely) {
   // further: with every block at a state fixed point and no pending
   // input activity, an idle cycle evaluates *nothing*.
   CombChain chain;
-  SequentialSimulator sim(chain.m, SchedulePolicy::kDynamic,
-                          /*max_evals_per_block=*/64, /*schedule_seed=*/1,
-                          SchedulerKind::kWorklist);
+  ShardedSimulator sim(chain.m, {.scheduler = SchedulerKind::kWorklist});
   sim.set_external_input(chain.in, val(8, 10));
   sim.step();  // settling cycle
   sim.step();  // pending flags from the settling cycle's changes drain
@@ -391,8 +393,9 @@ TEST(DynamicSchedule, WorklistSkipsAnIdleNetworkEntirely) {
 
 TEST(TwoPhaseOracle, MatchesDynamicOnStateOnlyDesign) {
   PipeRing a({9, 8, 7}), b({9, 8, 7});
-  SequentialSimulator dyn(a.model, SchedulePolicy::kDynamic);
-  SequentialSimulator oracle(b.model, SchedulePolicy::kTwoPhaseOracle);
+  ShardedSimulator dyn(a.model, {});
+  ShardedSimulator oracle(b.model,
+                          {.schedule = SchedulePolicy::kTwoPhaseOracle});
   for (int cycle = 0; cycle < 25; ++cycle) {
     dyn.step();
     const StepStats st = oracle.step();
@@ -408,7 +411,7 @@ TEST(TwoPhaseOracle, MatchesDynamicOnStateOnlyDesign) {
 
 TEST(Engine, ExternalInputValidation) {
   PipeRing ring({0, 0, 0});
-  SequentialSimulator sim(ring.model, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(ring.model, {});
   EXPECT_THROW(sim.set_external_input(ring.links[0], val(16, 1)), Error);
 }
 
@@ -425,7 +428,7 @@ TEST(Engine, ExternalInputWithNoReadersIsRejected) {
   m.bind_input(b, 0, in);
   m.bind_output(b, 0, out);
   m.finalize();
-  SequentialSimulator sim(m, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(m, {});
   sim.set_external_input(in, val(8, 3));  // has a reader: accepted
   try {
     sim.set_external_input(dangling, val(8, 1));
@@ -441,7 +444,7 @@ TEST(Engine, ExternalInputWithNoReadersIsRejected) {
 
 TEST(Engine, TraceHookSeesFigFiveStyleSchedule) {
   PipeRing ring({1, 0, 0});
-  SequentialSimulator sim(ring.model, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(ring.model, {});
   std::vector<std::pair<SystemCycle, BlockId>> trace;
   sim.set_trace_hook([&](SystemCycle c, DeltaCycle, BlockId b) {
     trace.emplace_back(c, b);
@@ -458,9 +461,17 @@ TEST(Engine, TraceHookSeesFigFiveStyleSchedule) {
   EXPECT_EQ(trace[2].second, 2u);
 }
 
+TEST(Engine, TraceHookNeedsOneShard) {
+  // Concurrent shards have no single delta order to report.
+  PipeRing ring({1, 0, 0});
+  ShardedSimulator sim(ring.model, {.num_shards = 2});
+  EXPECT_THROW(sim.set_trace_hook([](SystemCycle, DeltaCycle, BlockId) {}),
+               Error);
+}
+
 TEST(Engine, DeltaCycleTotalsAccumulate) {
   PipeRing ring({1, 2, 3});
-  SequentialSimulator sim(ring.model, SchedulePolicy::kDynamic);
+  ShardedSimulator sim(ring.model, {});
   DeltaCycle total = 0;
   for (int i = 0; i < 10; ++i) {
     total += sim.step().delta_cycles;
@@ -474,13 +485,14 @@ TEST(Engine, DeltaCycleTotalsAccumulate) {
 /// White-box peer: reaches the round-robin scheduler's private bitmap so
 /// a test can force the unstable_count/bitmap desync that the bounded
 /// cursor scan turns into a structured failure (it used to spin forever).
-class SequentialSimulatorTestPeer {
+class ShardedSimulatorTestPeer {
  public:
-  static void zero_unstable_bitmap(SequentialSimulator& sim) {
-    std::fill(sim.unstable_.begin(), sim.unstable_.end(), 0);
+  static void zero_unstable_bitmap(ShardedSimulator& sim) {
+    std::vector<char>& bitmap = sim.shards_[0]->unstable;
+    std::fill(bitmap.begin(), bitmap.end(), 0);
   }
-  static std::size_t unstable_count(const SequentialSimulator& sim) {
-    return sim.unstable_count_;
+  static std::size_t unstable_count(const ShardedSimulator& sim) {
+    return sim.shards_[0]->unstable_count;
   }
 };
 
@@ -491,7 +503,7 @@ namespace {
 /// the round-robin cursor has nothing left to find.
 class SaboteurBlock : public SimBlock {
  public:
-  void arm(SequentialSimulator* victim) { victim_ = victim; }
+  void arm(ShardedSimulator* victim) { victim_ = victim; }
 
   std::size_t state_width() const override { return 0; }
   std::size_t num_inputs() const override { return 1; }
@@ -504,13 +516,13 @@ class SaboteurBlock : public SimBlock {
                 BitVector&, std::span<BitVector> outputs) const override {
     outputs[0].set_field(0, 1, inputs[0].get_field(0, 1));
     if (victim_ != nullptr) {
-      SequentialSimulatorTestPeer::zero_unstable_bitmap(*victim_);
+      ShardedSimulatorTestPeer::zero_unstable_bitmap(*victim_);
     }
   }
   std::string type_name() const override { return "saboteur"; }
 
  private:
-  SequentialSimulator* victim_ = nullptr;
+  ShardedSimulator* victim_ = nullptr;
 };
 
 TEST(DynamicSchedule, DesyncedRoundRobinFailsStructurallyInsteadOfHanging) {
@@ -528,7 +540,7 @@ TEST(DynamicSchedule, DesyncedRoundRobinFailsStructurallyInsteadOfHanging) {
   model.bind_output(c, 0, out);
   model.finalize();
 
-  SequentialSimulator sim(model, SchedulePolicy::kDynamic, 8);
+  ShardedSimulator sim(model, {.max_evals_per_block = 8});
   saboteur->arm(&sim);
   // Block S (id 0) evaluates first, clears block C's unstable bit behind
   // the scheduler's back, and writes an unchanged output (no
@@ -541,7 +553,7 @@ TEST(DynamicSchedule, DesyncedRoundRobinFailsStructurallyInsteadOfHanging) {
     EXPECT_EQ(e.report().cycle, 0u);
     EXPECT_EQ(e.report().num_blocks, 2u);
   }
-  EXPECT_EQ(SequentialSimulatorTestPeer::unstable_count(sim), 1u);
+  EXPECT_EQ(ShardedSimulatorTestPeer::unstable_count(sim), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -582,7 +594,7 @@ TEST(SchedulerStats, ReEvaluationsPinnedPerSchedulerOnReverseChain) {
   ReverseChain chain;
   // Round-robin, cycle 1 (reset transient): id-order sweep needs three
   // extra delta cycles to push the reset values downstream.
-  SequentialSimulator rr(chain.model, SchedulePolicy::kDynamic);
+  ShardedSimulator rr(chain.model, {});
   StepStats st = rr.step();
   EXPECT_EQ(st.delta_cycles, 6u);
   EXPECT_EQ(st.re_evaluations, 3u);
@@ -592,8 +604,7 @@ TEST(SchedulerStats, ReEvaluationsPinnedPerSchedulerOnReverseChain) {
 
   // Worklist: same first-cycle work, then the quiescence fast path
   // skips the whole chain.
-  SequentialSimulator wl(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                         SchedulerKind::kWorklist);
+  ShardedSimulator wl(chain.model, {.scheduler = SchedulerKind::kWorklist});
   st = wl.step();
   EXPECT_EQ(st.delta_cycles, 6u);
   EXPECT_EQ(st.re_evaluations, 3u);
@@ -603,8 +614,7 @@ TEST(SchedulerStats, ReEvaluationsPinnedPerSchedulerOnReverseChain) {
   EXPECT_EQ(st.skipped_blocks, 3u);
 
   // Compiled: topological order, every cycle — no re-evaluations ever.
-  SequentialSimulator cp(chain.model, SchedulePolicy::kDynamic, 64, 1,
-                         SchedulerKind::kCompiled);
+  ShardedSimulator cp(chain.model, {.scheduler = SchedulerKind::kCompiled});
   for (int i = 0; i < 3; ++i) {
     st = cp.step();
     EXPECT_EQ(st.delta_cycles, 3u) << "cycle " << i;
@@ -619,7 +629,8 @@ TEST(SchedulerStats, ReEvaluationsPinnedPerSchedulerOnReverseChain) {
 
   // Two-phase oracle: exactly two passes, so exactly one re-evaluation
   // per block, every cycle.
-  SequentialSimulator tp(chain.model, SchedulePolicy::kTwoPhaseOracle);
+  ShardedSimulator tp(chain.model,
+                      {.schedule = SchedulePolicy::kTwoPhaseOracle});
   st = tp.step();
   EXPECT_EQ(st.delta_cycles, 6u);
   EXPECT_EQ(st.re_evaluations, 3u);

@@ -2,7 +2,7 @@
 // contract on the topologies the static schedule treats specially:
 //
 //  * a true combinational cycle (an OR latch), where the compiled
-//    schedule runs its scoped kSettle fallback — sequential — and its
+//    schedule runs its scoped kSettle fallback — one shard — and its
 //    per-shard Jacobi supersteps when a partition cuts the cycle;
 //  * a non-settling cycle (a NOT self-loop), where compiled must fail
 //    with the same structured ConvergenceError as the reference
@@ -15,6 +15,7 @@
 // block states, cycle by cycle.
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/example_blocks.h"
-#include "core/sequential_simulator.h"
 #include "core/sharded_simulator.h"
 #include "core/system_model.h"
 
@@ -85,15 +85,14 @@ struct OrLatchModel {
 TEST(CompiledEquivalence, OrLatchSccIsBitIdenticalAcrossAllEngines) {
   OrLatchModel m;
 
-  SequentialSimulator ref(m.model, SchedulePolicy::kDynamic);
-  SequentialSimulator cp(m.model, SchedulePolicy::kDynamic, 64, 1,
-                         SchedulerKind::kCompiled);
+  ShardedSimulator ref(m.model, {});
+  ShardedSimulator cp(m.model, {.scheduler = SchedulerKind::kCompiled});
 
   // The compiled build must actually have seen the cycle.
-  ASSERT_NE(cp.compiled_schedule(), nullptr);
-  EXPECT_FALSE(cp.compiled_schedule()->acyclic());
-  ASSERT_EQ(cp.compiled_schedule()->sccs.size(), 1u);
-  EXPECT_EQ(cp.compiled_schedule()->sccs[0].blocks,
+  ASSERT_NE(cp.compiled_schedule(0), nullptr);
+  EXPECT_FALSE(cp.compiled_schedule(0)->acyclic());
+  ASSERT_EQ(cp.compiled_schedule(0)->sccs.size(), 1u);
+  EXPECT_EQ(cp.compiled_schedule(0)->sccs[0].blocks,
             (std::vector<BlockId>{m.a, m.b}));
 
   // Sharded compiled, both with a cut-friendly partition and with a
@@ -151,9 +150,8 @@ TEST(CompiledEquivalence, OrSelfLoopSettlesUnderCompiled) {
   model.bind_output(a, 1, out);
   model.finalize();
 
-  SequentialSimulator cp(model, SchedulePolicy::kDynamic, 64, 1,
-                         SchedulerKind::kCompiled);
-  SequentialSimulator rr(model, SchedulePolicy::kDynamic);
+  ShardedSimulator cp(model, {.scheduler = SchedulerKind::kCompiled});
+  ShardedSimulator rr(model, {});
   cp.set_external_input(ext, val(8, 0x21));
   rr.set_external_input(ext, val(8, 0x21));
   cp.step();
@@ -161,8 +159,7 @@ TEST(CompiledEquivalence, OrSelfLoopSettlesUnderCompiled) {
   EXPECT_EQ(cp.link_value(out), val(8, 0x21));
   EXPECT_EQ(cp.link_value(out), rr.link_value(out));
 
-  EXPECT_THROW(SequentialSimulator(model, SchedulePolicy::kDynamic, 64, 1,
-                                   SchedulerKind::kWorklist),
+  EXPECT_THROW(ShardedSimulator(model, {.scheduler = SchedulerKind::kWorklist}),
                ContextualError);
 }
 
@@ -189,9 +186,9 @@ TEST(CompiledEquivalence, NonSettlingLoopFailsStructurallyUnderCompiled) {
     return ConvergenceReport{};
   };
 
-  SequentialSimulator rr(model, SchedulePolicy::kDynamic, 16);
-  SequentialSimulator cp(model, SchedulePolicy::kDynamic, 16, 1,
-                         SchedulerKind::kCompiled);
+  ShardedSimulator rr(model, {.max_evals_per_block = 16});
+  ShardedSimulator cp(model, {.max_evals_per_block = 16,
+                              .scheduler = SchedulerKind::kCompiled});
   const ConvergenceReport r1 = trip(rr);
   const ConvergenceReport r2 = trip(cp);
   EXPECT_EQ(r1.cycle, r2.cycle);
@@ -201,9 +198,46 @@ TEST(CompiledEquivalence, NonSettlingLoopFailsStructurallyUnderCompiled) {
   ASSERT_FALSE(r2.oscillating_blocks.empty());
   EXPECT_EQ(r2.oscillating_blocks[0], a);
 
-  EXPECT_THROW(SequentialSimulator(model, SchedulePolicy::kDynamic, 16, 1,
-                                   SchedulerKind::kWorklist),
+  EXPECT_THROW(ShardedSimulator(model, {.max_evals_per_block = 16,
+                                        .scheduler = SchedulerKind::kWorklist}),
                ContextualError);
+}
+
+TEST(CompiledEquivalence, SettleBudgetReportsTheSccBudgetItHit) {
+  // A NOT self-loop beside an acyclic chain ext -> c0 -> c1 -> c2. The
+  // compiled settle of the one-block SCC runs out of its own budget
+  // (max_evals x |SCC| = 16), not the shard's, and the report must name
+  // the budget that was actually hit — for one shard and for two.
+  SystemModel model;
+  const BlockId n = model.add_block(std::make_shared<NotBlock>(), "n");
+  const LinkId nn = model.add_link("nn", 1, LinkKind::kCombinational);
+  model.bind_output(n, 0, nn);
+  model.bind_input(n, 0, nn);
+  LinkId prev = model.add_link("ext", 1, LinkKind::kCombinational);
+  for (int i = 0; i < 3; ++i) {
+    const BlockId c = model.add_block(std::make_shared<CombAdderBlock>(1, 0),
+                                      "c" + std::to_string(i));
+    const LinkId out = model.add_link("l" + std::to_string(i), 1,
+                                      LinkKind::kCombinational);
+    model.bind_input(c, 0, prev);
+    model.bind_output(c, 0, out);
+    prev = out;
+  }
+  model.finalize();
+
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedSimulator sim(model, {.num_shards = shards,
+                                 .max_evals_per_block = 16,
+                                 .scheduler = SchedulerKind::kCompiled});
+    try {
+      sim.step();
+      ADD_FAILURE() << "oscillating self-loop did not trip";
+    } catch (const ConvergenceError& e) {
+      EXPECT_EQ(e.report().limit, 16u);
+      EXPECT_GT(e.report().delta_cycles, e.report().limit);
+    }
+  }
 }
 
 }  // namespace

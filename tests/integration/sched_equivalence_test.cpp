@@ -1,5 +1,5 @@
 // Differential proof of the worklist scheduler (DESIGN.md §12): for any
-// topology, workload, seed, engine (sequential or sharded) and shard
+// topology, workload, seed, engine shape (one shard or many) and shard
 // count, SchedulerKind::kWorklist must produce results bit-identical to
 // the reference round-robin sweep — every local output, every credit
 // wire, every register bit, every cycle (LockstepNocSimulation throws
@@ -124,8 +124,8 @@ TEST_P(SchedRandomized, SchedulersBitIdenticalAcrossEngines) {
   SCOPED_TRACE(cfg.replay_tuple(index));
   const NetworkConfig net = make_net(cfg);
 
-  // {round_robin, worklist, compiled} × {sequential, sharded}, all in
-  // lockstep: the round-robin sequential engine is the reference every
+  // {round_robin, worklist, compiled} × {one shard, N shards}, all in
+  // lockstep: the round-robin one-shard engine is the reference every
   // other combination must match cycle for cycle.
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
   std::vector<const SeqNocSimulation*> raw;
@@ -242,12 +242,12 @@ TEST(SchedDegenerate, CombinationalSelfLoopRejectedAtConstruction) {
   const core::SystemModel m = self_loop_model();
   // Round-robin keeps the legacy behaviour: constructs, then reports
   // the oscillation at step() time via the eval budget.
-  core::SequentialSimulator rr(m, SchedulePolicy::kDynamic, 16);
+  core::ShardedSimulator rr(m, {.max_evals_per_block = 16});
   EXPECT_THROW(rr.step(), core::ConvergenceError);
   // The worklist scheduler refuses the topology up front, structurally.
   try {
-    core::SequentialSimulator wl(m, SchedulePolicy::kDynamic, 16, 1,
-                                 SchedulerKind::kWorklist);
+    core::ShardedSimulator wl(m, {.max_evals_per_block = 16,
+                                  .scheduler = SchedulerKind::kWorklist});
     FAIL() << "worklist scheduler accepted a combinational self-loop";
   } catch (const ContextualError& e) {
     EXPECT_EQ(e.context_value("scheduler"), "worklist");
@@ -271,11 +271,10 @@ TEST(SchedDegenerate, ExternalLinkWithNoReadersRejected) {
   m.bind_input(a, 0, in);
   m.bind_output(a, 0, out);
   m.finalize();
-  core::SequentialSimulator rr(m, SchedulePolicy::kDynamic);  // legacy: fine
+  core::ShardedSimulator rr(m, {});  // legacy: fine
   rr.step();
   try {
-    core::SequentialSimulator wl(m, SchedulePolicy::kDynamic, 64, 1,
-                                 SchedulerKind::kWorklist);
+    core::ShardedSimulator wl(m, {.scheduler = SchedulerKind::kWorklist});
     FAIL() << "worklist scheduler accepted a reader-less external link";
   } catch (const ContextualError& e) {
     EXPECT_EQ(e.context_value("scheduler"), "worklist");
@@ -289,7 +288,7 @@ TEST(SchedDegenerate, ExternalLinkWithNoReadersRejected) {
 
 // ---------------------------------------------------------------------------
 // ConvergenceReport parity (the sharded engine must diagnose like the
-// sequential one, deterministically)
+// one-shard one, deterministically)
 // ---------------------------------------------------------------------------
 
 core::SystemModel not_ring(std::size_t n) {
@@ -322,14 +321,14 @@ core::ConvergenceReport trip(core::Engine& eng) {
 TEST(SchedConvergence, ReportParityBetweenEnginesAndSchedulers) {
   const core::SystemModel m = not_ring(5);
 
-  core::SequentialSimulator seq_rr(m, SchedulePolicy::kDynamic, 16);
-  core::SequentialSimulator seq_wl(m, SchedulePolicy::kDynamic, 16, 1,
-                                   SchedulerKind::kWorklist);
+  core::ShardedSimulator seq_rr(m, {.max_evals_per_block = 16});
+  core::ShardedSimulator seq_wl(m, {.max_evals_per_block = 16,
+                                    .scheduler = SchedulerKind::kWorklist});
   // Compiled: the whole ring condenses into one SCC whose scoped settle
-  // trips the same per-SCC budget (sequential), or — split one inverter
+  // trips the same per-SCC budget (one shard), or — split one inverter
   // per shard — a cut loop that ping-pongs to the superstep cap.
-  core::SequentialSimulator seq_cp(m, SchedulePolicy::kDynamic, 16, 1,
-                                   SchedulerKind::kCompiled);
+  core::ShardedSimulator seq_cp(m, {.max_evals_per_block = 16,
+                                    .scheduler = SchedulerKind::kCompiled});
   core::ShardedConfig cfg;
   cfg.num_shards = 5;  // one inverter per shard: purely cross-shard loop
   cfg.max_evals_per_block = 16;
@@ -359,14 +358,14 @@ TEST(SchedConvergence, ReportParityBetweenEnginesAndSchedulers) {
       EXPECT_LT(l, m.num_links());
     }
   }
-  // The sharded report must cover the blocks the sequential engine
+  // The sharded report must cover the blocks the one-shard engine
   // flags (the engines trip at different points of the loop, so the
   // sharded set covers rather than equals).
   for (const core::BlockId blk : a.oscillating_blocks) {
     EXPECT_TRUE(std::find(c.oscillating_blocks.begin(),
                           c.oscillating_blocks.end(),
                           blk) != c.oscillating_blocks.end())
-        << "sequential flagged block " << blk
+        << "one shard flagged block " << blk
         << " but the sharded report missed it";
   }
   // No duplicates in the merged changed-link history.

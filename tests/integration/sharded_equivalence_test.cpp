@@ -1,7 +1,8 @@
 // Randomized differential proof of the sharded engine (the PR's
 // headline instrument): for any topology, workload, seed, shard count
 // and partition policy, the sharded bulk-synchronous engine must be
-// bit-identical to the sequential §4 engine — every local output, every
+// bit-identical to the one-shard engine (the paper's sequential §4
+// method) — every local output, every
 // credit wire, every register bit, every cycle (LockstepNocSimulation
 // throws on the first divergence), every link value at the end, and the
 // full monitor statistics of a dual-harness run.
@@ -243,12 +244,12 @@ TEST(ShardedClamp, MoreShardsThanBlocksClampsAndStaysExact) {
 }
 
 // A combinational oscillator split across shards must be detected like
-// the sequential engine detects it: ConvergenceError, with a report
-// that points at the oscillating blocks. The engines trip at different
-// points of the loop (sequential flags whichever reader was pending at
-// its eval budget; the sharded engine flags every reader of a pending
-// cut-link change), so the sharded set must *cover* the sequential one
-// rather than equal it.
+// the one-shard engine detects it: ConvergenceError, with a report that
+// points at the oscillating blocks. The two trip at different points of
+// the loop (one shard flags whichever reader was pending at its eval
+// budget; three shards flag every reader of a pending cut-link change),
+// so the sharded set must *cover* the one-shard set rather than equal
+// it.
 TEST(ShardedConvergence, CrossShardOscillatorThrowsLikeSequential) {
   core::SystemModel m;
   auto inv = std::make_shared<core::examples::NotBlock>();
@@ -279,7 +280,7 @@ TEST(ShardedConvergence, CrossShardOscillatorThrowsLikeSequential) {
     return std::vector<core::BlockId>{};
   };
 
-  core::SequentialSimulator seq(m, SchedulePolicy::kDynamic, 16);
+  core::ShardedSimulator seq(m, {.max_evals_per_block = 16});
   core::ShardedConfig cfg;
   cfg.num_shards = 3;  // one inverter per shard: purely cross-shard loop
   cfg.max_evals_per_block = 16;
@@ -291,7 +292,7 @@ TEST(ShardedConvergence, CrossShardOscillatorThrowsLikeSequential) {
   ASSERT_FALSE(b.empty());
   for (const core::BlockId blk : a) {
     EXPECT_TRUE(std::find(b.begin(), b.end(), blk) != b.end())
-        << "sequential flagged block " << blk
+        << "one shard flagged block " << blk
         << " but the sharded report missed it";
   }
   for (const core::BlockId blk : b) {
@@ -300,7 +301,7 @@ TEST(ShardedConvergence, CrossShardOscillatorThrowsLikeSequential) {
 }
 
 // The static §4.1 schedule on a registered-boundary model: the sharded
-// engine must agree with the sequential engine there too (the NoC can't
+// engine must agree with the one-shard engine there too (the NoC can't
 // exercise static — its inter-router links are combinational).
 TEST(ShardedStatic, RegisteredPipelineMatchesSequential) {
   core::SystemModel m;
@@ -323,7 +324,7 @@ TEST(ShardedStatic, RegisteredPipelineMatchesSequential) {
   }
   m.finalize();
 
-  core::SequentialSimulator seq(m, SchedulePolicy::kStatic);
+  core::ShardedSimulator seq(m, {.schedule = SchedulePolicy::kStatic});
   core::ShardedConfig cfg;
   cfg.num_shards = 3;
   cfg.schedule = SchedulePolicy::kStatic;

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/example_blocks.h"
-#include "core/sequential_simulator.h"
+#include "core/sharded_simulator.h"
 #include "obs/engine_sinks.h"
 
 namespace tmsim::obs {
@@ -163,7 +163,8 @@ struct RegRing {
 
 TEST(VcdTracer, StreamingDumpIsValidAndCoversEveryCycle) {
   RegRing ring;
-  core::SequentialSimulator sim(ring.model, core::SchedulePolicy::kStatic);
+  core::ShardedSimulator sim(ring.model,
+                             {.schedule = core::SchedulePolicy::kStatic});
   std::ostringstream os;
   VcdTracerOptions opts;
   opts.link_glob = "R*";
@@ -240,8 +241,7 @@ TEST(VcdTracer, RingModeDumpsLastCyclesOnConvergenceFailure) {
     m.bind_input(blocks[(i + 1) % 3], 0, links[i]);
   }
   m.finalize();
-  core::SequentialSimulator sim(m, core::SchedulePolicy::kDynamic,
-                                /*max_evals=*/16);
+  core::ShardedSimulator sim(m, {.max_evals_per_block = 16});
   std::ostringstream os;
   VcdTracerOptions opts;
   opts.ring_cycles = 4;
@@ -263,7 +263,8 @@ TEST(VcdTracer, RingModeDumpsLastCyclesOnConvergenceFailure) {
 
 TEST(VcdTracer, RingModeKeepsOnlyLastNCycles) {
   RegRing ring;
-  core::SequentialSimulator sim(ring.model, core::SchedulePolicy::kStatic);
+  core::ShardedSimulator sim(ring.model,
+                             {.schedule = core::SchedulePolicy::kStatic});
   std::ostringstream os;
   VcdTracerOptions opts;
   opts.ring_cycles = 3;
@@ -290,8 +291,9 @@ TEST(VcdDiff, TracerDumpsFromTwoEnginesOverSameModelAreIdentical) {
   RegRing r1, r2;
   std::ostringstream os1, os2;
   VcdTracer t1(r1.model, os1), t2(r2.model, os2);
-  core::SequentialSimulator s1(r1.model, core::SchedulePolicy::kStatic);
-  core::SequentialSimulator s2(r2.model, core::SchedulePolicy::kDynamic);
+  core::ShardedSimulator s1(r1.model,
+                            {.schedule = core::SchedulePolicy::kStatic});
+  core::ShardedSimulator s2(r2.model, {});
   s1.set_observer(&t1);
   s2.set_observer(&t2);
   for (int i = 0; i < 8; ++i) {
