@@ -19,6 +19,20 @@ double steady_now_us() {
 /// Display track for queue-side spans (workers live on 100 + w).
 constexpr std::uint32_t kQueueTid = 90;
 
+/// First job at or after `it` whose backoff has expired; lowers
+/// `next_eligible` to the earliest backoff passed on the way.
+std::deque<QueuedJob>::iterator next_eligible_job(
+    std::deque<QueuedJob>& cls, std::deque<QueuedJob>::iterator it,
+    double now, double& next_eligible) {
+  for (; it != cls.end(); ++it) {
+    if (it->not_before_us <= now) {
+      break;
+    }
+    next_eligible = std::min(next_eligible, it->not_before_us);
+  }
+  return it;
+}
+
 }  // namespace
 
 const char* reject_reason_name(RejectReason r) {
@@ -35,75 +49,63 @@ const char* reject_reason_name(RejectReason r) {
 AdmissionQueue::AdmissionQueue(std::size_t capacity,
                                SystemCycle max_job_cycles,
                                std::function<double()> now_fn,
-                               std::size_t num_shards,
                                BatchKeyFn batch_key_fn, obs::Tracer* tracer)
     : capacity_(capacity),
       max_job_cycles_(max_job_cycles),
       now_fn_(now_fn ? std::move(now_fn) : steady_now_us),
-      num_shards_(num_shards == 0 ? 1 : num_shards),
       batch_key_fn_(std::move(batch_key_fn)),
       tracer_(tracer) {
   TMSIM_CHECK_MSG(capacity >= 1, "queue capacity must be positive");
-  for (ClassQueue& cls : classes_) {
-    for (std::size_t s = 0; s < num_shards_; ++s) {
-      cls.shards.push_back(std::make_unique<Shard>());
-    }
-  }
 }
 
-void AdmissionQueue::signal_enqueue() {
-  {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    enq_ticket_.fetch_add(1, std::memory_order_release);
-  }
-  cv_.notify_one();
-}
-
-void AdmissionQueue::enqueue(QueuedJob job, RequeuePosition pos) {
-  job.seq = pos == RequeuePosition::kFront
-                ? front_seq_.fetch_sub(1, std::memory_order_relaxed)
-                : back_seq_.fetch_add(1, std::memory_order_relaxed);
+std::size_t AdmissionQueue::enqueue(QueuedJob job, RequeuePosition pos) {
   if (batch_key_fn_) {
     job.batch_key = batch_key_fn_(job.spec);
   }
-  ClassQueue& cls = classes_[static_cast<std::size_t>(job.spec.priority)];
-  const std::size_t shard_idx =
-      cls.rr.fetch_add(1, std::memory_order_relaxed) % num_shards_;
-  Shard& shard = *cls.shards[shard_idx];
-  job.enqueue_shard = shard_idx;
+  const auto c = static_cast<std::size_t>(job.spec.priority);
   // Copy what the span needs before the move; record after the unlock.
   const obs::TraceContext trace = job.trace;
   const auto attempt = static_cast<std::uint32_t>(job.attempts);
   const double queued_us = job.queued_us;
-  const Priority prio = job.spec.priority;
+  std::size_t depth = 0;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Keep the shard deque ticket-sorted. Back tickets arrive roughly in
-    // order (a racing pair can invert), front tickets belong near the
-    // front — a short scan from the matching end finds the slot.
-    if (shard.jobs.empty() || shard.jobs.back().seq < job.seq) {
-      shard.jobs.push_back(std::move(job));
-    } else if (shard.jobs.front().seq > job.seq) {
-      shard.jobs.push_front(std::move(job));
+    std::lock_guard<std::mutex> lock(mu_);
+    std::deque<QueuedJob>& cls = classes_[c];
+    if (pos == RequeuePosition::kFront) {
+      cls.push_front(std::move(job));
     } else {
-      auto it = shard.jobs.end();
-      while (it != shard.jobs.begin() && std::prev(it)->seq > job.seq) {
-        --it;
-      }
-      shard.jobs.insert(it, std::move(job));
+      cls.push_back(std::move(job));
+    }
+    class_depth_[c].store(cls.size(), std::memory_order_relaxed);
+    for (const std::deque<QueuedJob>& q : classes_) {
+      depth += q.size();
     }
   }
-  cls.count.fetch_add(1, std::memory_order_release);
-  total_count_.fetch_add(1, std::memory_order_release);
+  // After stop() every popper may be waiting for this very enqueue to
+  // decide "drained"; wake them all so none keeps sleeping once it is in.
+  if (stopped_.load()) {
+    cv_.notify_all();
+  } else {
+    cv_.notify_one();
+  }
   if (tracer_ != nullptr && trace.sampled()) {
     tracer_->span(trace, tracer_->alloc_span_id(), trace.span_id,
                   "admission.enqueue", attempt, kQueueTid, queued_us,
                   queued_us,
-                  {{"shard", std::to_string(shard_idx)},
-                   {"class", priority_name(prio)},
+                  {{"class", priority_name(static_cast<Priority>(c))},
                    {"pos", pos == RequeuePosition::kFront ? "front" : "back"}});
   }
-  signal_enqueue();
+  return depth;
+}
+
+void AdmissionQueue::release_reservation() {
+  fresh_queued_.fetch_sub(1);
+  if (stopped_.load()) {
+    // A stopped popper checks fresh_queued_ under mu_ before it sleeps;
+    // the empty critical section keeps this wakeup from slipping between.
+    { std::lock_guard<std::mutex> lock(mu_); }
+    cv_.notify_all();
+  }
 }
 
 SubmitOutcome AdmissionQueue::submit(JobSpec spec, double now_us,
@@ -129,21 +131,25 @@ SubmitOutcome AdmissionQueue::submit(JobSpec spec, double now_us,
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return out;
   }
-  if (stopped_.load(std::memory_order_acquire)) {
+  // Capacity is a lock-free reservation: claim a fresh slot, give it
+  // back on rejection. The bound stays strict under concurrent submits.
+  // Reserving *before* the stop check (both seq_cst) orders the submit
+  // against stop(): either it sees stopped_ and rejects, or a stopped
+  // popper sees the reservation and waits for the enqueue — an accepted
+  // job is never stranded behind a popper that reported "drained".
+  const std::size_t fresh_before = fresh_queued_.fetch_add(1);
+  if (stopped_.load()) {
+    release_reservation();
     out.reason = RejectReason::kStopped;
     out.detail = "farm is shutting down";
-    out.queue_depth = total_count_.load(std::memory_order_relaxed);
+    out.queue_depth = depth();
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return out;
   }
-  // Capacity is a lock-free reservation: claim a fresh slot, give it
-  // back on overflow. The bound stays strict under concurrent submits.
-  const std::size_t fresh_before =
-      fresh_queued_.fetch_add(1, std::memory_order_acq_rel);
   if (fresh_before >= capacity_) {
-    fresh_queued_.fetch_sub(1, std::memory_order_acq_rel);
+    release_reservation();
     out.reason = RejectReason::kQueueFull;
-    out.queue_depth = total_count_.load(std::memory_order_relaxed);
+    out.queue_depth = depth();
     // Deterministic backpressure hint: a pure function of the fresh
     // backlog, so identical rejection states yield identical hints (see
     // the header's backpressure contract).
@@ -196,14 +202,12 @@ SubmitOutcome AdmissionQueue::submit(JobSpec spec, double now_us,
   out.accepted = true;
   out.job_id = job.job_id;
   out.trace = job.trace;
-  // The accept hook runs before the job is visible to any popper (and
-  // with no queue locks held), closing the submit/pop TOCTOU without a
-  // queue-wide mutex.
+  // The accept hook runs before the job is visible to any popper, and
+  // outside the queue mutex, so the submit still locks exactly once.
   if (on_accept) {
-    on_accept(job.job_id, job.spec);
+    on_accept(job);
   }
-  enqueue(std::move(job), RequeuePosition::kBack);
-  out.queue_depth = total_count_.load(std::memory_order_relaxed);
+  out.queue_depth = enqueue(std::move(job), RequeuePosition::kBack);
   return out;
 }
 
@@ -218,130 +222,73 @@ bool AdmissionQueue::requeue(QueuedJob job, double now_us,
   return true;
 }
 
-std::optional<QueuedJob> AdmissionQueue::take_min_eligible(
-    ClassQueue& cls, double now, double& next_eligible,
-    std::uint64_t require_key, bool key_constrained) {
-  // All shard locks of this class are taken in index order (the single
-  // lock-order used everywhere), so the min-ticket choice is atomic
-  // against concurrent pops; submitters still only contend on the one
-  // shard they insert into.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(cls.shards.size());
-  for (auto& shard : cls.shards) {
-    locks.emplace_back(shard->mu);
-  }
-  Shard* best_shard = nullptr;
-  std::size_t best_idx = 0;
-  std::uint64_t best_seq = std::numeric_limits<std::uint64_t>::max();
-  for (auto& shard : cls.shards) {
-    for (std::size_t i = 0; i < shard->jobs.size(); ++i) {
-      const QueuedJob& job = shard->jobs[i];
-      if (job.not_before_us > now) {
-        next_eligible = std::min(next_eligible, job.not_before_us);
-        continue;  // backoff not expired; FIFO among *eligible* jobs
-      }
-      if (job.seq < best_seq) {
-        best_seq = job.seq;
-        best_shard = shard.get();
-        best_idx = i;
-      }
-      break;  // shard is ticket-sorted: first eligible is its minimum
-    }
-  }
-  if (best_shard == nullptr) {
-    return std::nullopt;
-  }
-  if (key_constrained && best_shard->jobs[best_idx].batch_key != require_key) {
-    return std::nullopt;  // next-in-order job is incompatible: stop batch
-  }
-  QueuedJob job = std::move(best_shard->jobs[best_idx]);
-  best_shard->jobs.erase(best_shard->jobs.begin() +
-                         static_cast<std::ptrdiff_t>(best_idx));
-  cls.count.fetch_sub(1, std::memory_order_release);
-  total_count_.fetch_sub(1, std::memory_order_release);
-  if (job.fresh) {
-    fresh_queued_.fetch_sub(1, std::memory_order_acq_rel);
-    job.fresh = false;
-  }
-  return job;
-}
-
 std::vector<QueuedJob> AdmissionQueue::pop_batch_blocking(
     std::size_t max_batch) {
   TMSIM_CHECK_MSG(max_batch >= 1, "batch size must be positive");
   std::vector<QueuedJob> batch;
   for (;;) {
-    const std::uint64_t ticket = enq_ticket_.load(std::memory_order_acquire);
+    // The injected clock is read outside the mutex; a slightly early
+    // `now` only defers a just-expired backoff to the next scan.
     const double now = now_fn_();
+    std::unique_lock<std::mutex> lock(mu_);
     double next_eligible = std::numeric_limits<double>::infinity();
-    for (ClassQueue& cls : classes_) {
-      if (cls.count.load(std::memory_order_acquire) == 0) {
+    for (std::size_t c = 0; c < kNumPriorities && batch.empty(); ++c) {
+      std::deque<QueuedJob>& cls = classes_[c];
+      auto it = next_eligible_job(cls, cls.begin(), now, next_eligible);
+      if (it == cls.end()) {
         continue;
       }
-      std::optional<QueuedJob> head = take_min_eligible(
-          cls, now, next_eligible, /*require_key=*/0,
-          /*key_constrained=*/false);
-      if (!head) {
-        continue;
-      }
-      const std::uint64_t key = head->batch_key;
-      batch.push_back(std::move(*head));
+      const std::uint64_t key = it->batch_key;
       // Batch growth never skips or overtakes: it only extends while the
-      // very next eligible job (in ticket order) of the same class
-      // shares the head's compatibility key.
-      while (batch.size() < max_batch && batch_key_fn_ && key != 0) {
-        double ignored = std::numeric_limits<double>::infinity();
-        std::optional<QueuedJob> next = take_min_eligible(
-            cls, now, ignored, key, /*key_constrained=*/true);
-        if (!next) {
+      // very next eligible job of the class shares the head's key.
+      for (;;) {
+        if (it->fresh) {
+          fresh_queued_.fetch_sub(1, std::memory_order_acq_rel);
+          it->fresh = false;
+        }
+        batch.push_back(std::move(*it));
+        it = cls.erase(it);
+        if (batch.size() == max_batch || !batch_key_fn_ || key == 0) {
           break;
         }
-        batch.push_back(std::move(*next));
-      }
-      if (tracer_ != nullptr) {
-        const double end = now_fn_();
-        for (const QueuedJob& j : batch) {
-          if (!j.trace.sampled()) {
-            continue;
-          }
-          // The queue-wait span: last (re)enqueue → this dequeue.
-          tracer_->span(j.trace, tracer_->alloc_span_id(), j.trace.span_id,
-                        "admission.dequeue",
-                        static_cast<std::uint32_t>(j.attempts), kQueueTid,
-                        j.queued_us, end,
-                        {{"shard", std::to_string(j.enqueue_shard)},
-                         {"batch", std::to_string(batch.size())}});
+        double ignored = std::numeric_limits<double>::infinity();
+        it = next_eligible_job(cls, it, now, ignored);
+        if (it == cls.end() || it->batch_key != key) {
+          break;
         }
       }
-      return batch;
+      class_depth_[c].store(cls.size(), std::memory_order_relaxed);
+    }
+    if (!batch.empty()) {
+      break;  // the lock is released before tracing
     }
     if (next_eligible < std::numeric_limits<double>::infinity()) {
       // Only backoff'd jobs remain (stopped or not — admitted work is
       // drained either way). Sleep until the earliest becomes eligible
-      // or a new enqueue changes the picture.
-      std::unique_lock<std::mutex> lock(wait_mu_);
-      if (enq_ticket_.load(std::memory_order_acquire) != ticket) {
-        continue;
-      }
-      const auto wake_us = static_cast<std::int64_t>(
-          std::max(1.0, next_eligible - now));
-      cv_.wait_for(lock, std::chrono::microseconds(wake_us), [&] {
-        return enq_ticket_.load(std::memory_order_acquire) != ticket;
-      });
+      // or an enqueue changes the picture.
+      cv_.wait_for(lock, std::chrono::microseconds(static_cast<std::int64_t>(
+                             std::max(1.0, next_eligible - now))));
       continue;
     }
-    std::unique_lock<std::mutex> lock(wait_mu_);
-    if (enq_ticket_.load(std::memory_order_acquire) != ticket) {
-      continue;  // an enqueue raced the scan; rescan instead of sleeping
-    }
-    if (stopped_.load(std::memory_order_acquire) &&
-        total_count_.load(std::memory_order_acquire) == 0) {
+    if (stopped_.load() && fresh_queued_.load() == 0) {
       return batch;  // empty: stopped and drained
     }
-    cv_.wait(lock, [&] {
-      return enq_ticket_.load(std::memory_order_acquire) != ticket;
-    });
+    cv_.wait(lock);
   }
+  if (tracer_ != nullptr) {
+    const double end = now_fn_();
+    for (const QueuedJob& j : batch) {
+      if (j.trace.sampled()) {
+        // The queue-wait span: last (re)enqueue → this dequeue.
+        tracer_->span(j.trace, tracer_->alloc_span_id(), j.trace.span_id,
+                      "admission.dequeue",
+                      static_cast<std::uint32_t>(j.attempts), kQueueTid,
+                      j.queued_us, end,
+                      {{"batch", std::to_string(batch.size())}});
+      }
+    }
+  }
+  return batch;
 }
 
 std::optional<QueuedJob> AdmissionQueue::pop_blocking() {
@@ -353,18 +300,20 @@ std::optional<QueuedJob> AdmissionQueue::pop_blocking() {
 }
 
 bool AdmissionQueue::has_higher_than(Priority p) const {
+  const auto top = static_cast<std::size_t>(p);
+  bool any = false;
+  for (std::size_t c = 0; c < top; ++c) {
+    any = any || class_depth_[c].load(std::memory_order_relaxed) > 0;
+  }
+  if (!any) {
+    return false;  // lock-free fast path: every higher class is empty
+  }
   const double now = now_fn_();
-  for (std::size_t c = 0; c < static_cast<std::size_t>(p); ++c) {
-    const ClassQueue& cls = classes_[c];
-    if (cls.count.load(std::memory_order_acquire) == 0) {
-      continue;  // lock-free fast path: class empty
-    }
-    for (const auto& shard : cls.shards) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      for (const QueuedJob& job : shard->jobs) {
-        if (job.not_before_us <= now) {
-          return true;
-        }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t c = 0; c < top; ++c) {
+    for (const QueuedJob& job : classes_[c]) {
+      if (job.not_before_us <= now) {
+        return true;
       }
     }
   }
@@ -372,11 +321,8 @@ bool AdmissionQueue::has_higher_than(Priority p) const {
 }
 
 void AdmissionQueue::stop() {
-  stopped_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    enq_ticket_.fetch_add(1, std::memory_order_release);
-  }
+  stopped_.store(true);
+  { std::lock_guard<std::mutex> lock(mu_); }
   cv_.notify_all();
 }
 
@@ -385,12 +331,16 @@ bool AdmissionQueue::stopped() const {
 }
 
 std::size_t AdmissionQueue::depth() const {
-  return total_count_.load(std::memory_order_acquire);
+  std::size_t total = 0;
+  for (const auto& d : class_depth_) {
+    total += d.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::size_t AdmissionQueue::depth(Priority p) const {
-  return classes_[static_cast<std::size_t>(p)].count.load(
-      std::memory_order_acquire);
+  return class_depth_[static_cast<std::size_t>(p)].load(
+      std::memory_order_relaxed);
 }
 
 std::uint64_t AdmissionQueue::jobs_submitted() const {
@@ -401,26 +351,24 @@ std::uint64_t AdmissionQueue::jobs_rejected() const {
   return rejected_.load(std::memory_order_relaxed);
 }
 
-std::vector<std::vector<AdmissionQueue::ShardDepth>>
-AdmissionQueue::introspect_shards() const {
-  std::vector<std::vector<ShardDepth>> out(kNumPriorities);
+bool AdmissionQueue::issued(std::uint64_t job_id) const {
+  return job_id != 0 && job_id < next_job_id_.load(std::memory_order_relaxed);
+}
+
+std::array<AdmissionQueue::ClassDepth, kNumPriorities>
+AdmissionQueue::introspect_classes() const {
+  std::array<ClassDepth, kNumPriorities> out{};
+  std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t c = 0; c < kNumPriorities; ++c) {
-    out[c].reserve(num_shards_);
-    for (const auto& shard : classes_[c].shards) {
-      ShardDepth d;
-      std::lock_guard<std::mutex> lock(shard->mu);
-      d.depth = shard->jobs.size();
-      if (!d.depth) {
-        out[c].push_back(d);
-        continue;
-      }
-      // The deque is ticket-sorted, so the front is the oldest ticket —
-      // but its *queued_us* is what ages (a front requeue resets it).
-      d.oldest_queued_us = shard->jobs.front().queued_us;
-      for (const QueuedJob& j : shard->jobs) {
-        d.oldest_queued_us = std::min(d.oldest_queued_us, j.queued_us);
-      }
-      out[c].push_back(d);
+    out[c].depth = classes_[c].size();
+    if (out[c].depth == 0) {
+      continue;
+    }
+    // A front requeue resets queued_us, so the deque front is not
+    // necessarily the oldest: scan the class.
+    out[c].oldest_queued_us = classes_[c].front().queued_us;
+    for (const QueuedJob& j : classes_[c]) {
+      out[c].oldest_queued_us = std::min(out[c].oldest_queued_us, j.queued_us);
     }
   }
   return out;

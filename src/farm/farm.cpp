@@ -18,28 +18,6 @@ std::string worker_label(std::size_t w) {
   return "worker=" + std::to_string(w);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string hex_id(std::uint64_t v) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -69,7 +47,7 @@ SimFarm::SimFarm(FarmOptions opt)
     : opt_(opt),
       start_us_(now_us()),
       queue_(opt.queue_capacity, opt.max_job_cycles,
-             [this] { return now_us(); }, opt.admission_shards,
+             [this] { return now_us(); },
              // Batch compatibility = engine-cache identity: the queue
              // only hands out multi-job batches that can share one warm
              // engine without re-attach.
@@ -78,6 +56,9 @@ SimFarm::SimFarm(FarmOptions opt)
       results_(opt.completion_feed_depth) {
   TMSIM_CHECK_MSG(opt_.num_workers >= 1, "farm needs at least one worker");
   TMSIM_CHECK_MSG(opt_.preempt_quantum >= 1, "quantum must be positive");
+  // Sized for a full queue plus a job per worker, so the common case
+  // never rehashes under control_mu_.
+  control_.reserve(opt_.queue_capacity + opt_.num_workers);
   for (std::size_t w = 0; w < opt_.num_workers; ++w) {
     workers_.push_back(std::make_unique<Worker>());
   }
@@ -115,7 +96,7 @@ double SimFarm::now_us() const {
 void SimFarm::update_queue_gauges() {
   // Gauges are refreshed at supervisor cadence and at shutdown, not on
   // every submit/publish — a point-in-time depth does not need (and the
-  // sharded hot path does not pay for) per-event precision.
+  // hot path does not pay for) per-event precision.
   if (!opt_.metrics) {
     return;
   }
@@ -138,21 +119,21 @@ SubmitOutcome SimFarm::submit(const JobSpec& spec,
   } else {
     // The accept hook installs the control record after the job id is
     // assigned and *before* the job becomes poppable, so a worker can
-    // never see a control-less job — the old TOCTOU fix, without
-    // holding any farm-wide lock across the enqueue.
-    out = queue_.submit(spec, now,
-                        [this, now](std::uint64_t id, const JobSpec& s) {
-                          inflight_.fetch_add(1, std::memory_order_relaxed);
-                          JobControl ctl;
-                          if (s.deadline_ms > 0) {
-                            ctl.deadline_at_us =
-                                now + static_cast<double>(s.deadline_ms) * 1e3;
-                          }
-                          ControlShard& shard = control_shard(id);
-                          std::lock_guard<std::mutex> lock(shard.mu);
-                          shard.map.emplace(id, std::move(ctl));
-                        },
-                        remote);
+    // never see a control-less job.
+    out = queue_.submit(
+        spec, now,
+        [this](QueuedJob& job) {
+          inflight_.fetch_add(1, std::memory_order_relaxed);
+          job.cancel = std::make_shared<std::atomic<bool>>(false);
+          // Build the map node outside the lock; only linking it in is
+          // serialized against the other submitters and publishers.
+          ControlMap staged;
+          staged.emplace(job.job_id, JobControl{job.cancel, CancelCause::kNone,
+                                                job.deadline_at_us});
+          std::lock_guard<std::mutex> lock(control_mu_);
+          control_.insert(staged.extract(staged.begin()));
+        },
+        remote);
   }
   if (opt_.metrics) {
     std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -171,15 +152,11 @@ SubmitOutcome SimFarm::submit(const JobSpec& spec,
 }
 
 CancelResult SimFarm::cancel(std::uint64_t job_id) {
-  ControlShard& shard = control_shard(job_id);
   bool requested = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(job_id);
-    if (it != shard.map.end()) {
-      if (it->second.terminal) {
-        return CancelResult::kAlreadyFinished;
-      }
+    std::lock_guard<std::mutex> lock(control_mu_);
+    const auto it = control_.find(job_id);
+    if (it != control_.end()) {
       if (it->second.cause == CancelCause::kNone) {
         it->second.cause = CancelCause::kUser;
       }
@@ -188,10 +165,10 @@ CancelResult SimFarm::cancel(std::uint64_t job_id) {
     }
   }
   if (!requested) {
-    // Control blocks live from admission to publish: absent + published
-    // means finished, absent + unpublished means never ours.
-    return results_.get(job_id) ? CancelResult::kAlreadyFinished
-                                : CancelResult::kUnknownJob;
+    // Control blocks live from admission to the winning publish: absent
+    // + issued means finished (or its result is racing in).
+    return queue_.issued(job_id) ? CancelResult::kAlreadyFinished
+                                 : CancelResult::kUnknownJob;
   }
   if (opt_.metrics) {
     std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -290,7 +267,7 @@ void SimFarm::shutdown() {
   // 2. Final reclaim pass: dead workers' orphans go back on the queue,
   //    and replacements are spawned so the backlog still has someone to
   //    run it even if the whole pool was killed.
-  reclaim_dead_workers(/*allow_respawn=*/true);
+  reclaim_dead_workers();
   // 3. Drain: stop intake; workers run the backlog dry (including jobs
   //    still sleeping out a retry backoff), then exit.
   queue_.stop();
@@ -362,8 +339,8 @@ void SimFarm::shutdown() {
 
 void SimFarm::requeue_batch_tail(std::vector<QueuedJob>& batch,
                                  std::size_t from) {
-  // Front tickets count *down*, so requeuing in reverse order leaves the
-  // tail at the front of its class in its original relative order.
+  // Each front requeue is a push_front, so requeuing in reverse order
+  // leaves the tail at the front of its class in its original order.
   const double now = now_us();
   for (std::size_t k = batch.size(); k > from; --k) {
     queue_.requeue(std::move(batch[k - 1]), now, RequeuePosition::kFront);
@@ -372,10 +349,9 @@ void SimFarm::requeue_batch_tail(std::vector<QueuedJob>& batch,
 
 void SimFarm::worker_main(std::size_t w) {
   Worker& worker = *workers_[w];
-  const std::size_t max_batch = std::max<std::size_t>(1, opt_.batch_max_jobs);
   for (;;) {
     worker.idle.store(true, std::memory_order_relaxed);
-    std::vector<QueuedJob> batch = queue_.pop_batch_blocking(max_batch);
+    std::vector<QueuedJob> batch = queue_.pop_batch_blocking(kBatchMaxJobs);
     worker.idle.store(false, std::memory_order_relaxed);
     if (batch.empty()) {
       return;
@@ -498,15 +474,8 @@ bool SimFarm::run_job(std::size_t w, QueuedJob job) {
   Worker& worker = *workers_[w];
   const auto tid = static_cast<std::uint32_t>(100 + w);
   const bool resumed = job.session != nullptr;
-  std::shared_ptr<std::atomic<bool>> token;
-  {
-    ControlShard& shard = control_shard(job.job_id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(job.job_id);
-    TMSIM_CHECK_MSG(it != shard.map.end(),
-                    "in-flight job without a control record");
-    token = it->second.cancel;
-  }
+  const std::shared_ptr<std::atomic<bool>> token = job.cancel;
+  TMSIM_CHECK_MSG(token != nullptr, "in-flight job without a cancel flag");
   worker.current_job.store(job.job_id, std::memory_order_relaxed);
   // One farm.exec segment per dispatch, opened before the memo check so
   // even memo-served jobs show where they ran; closed with its outcome
@@ -811,27 +780,23 @@ void SimFarm::publish(std::size_t w, QueuedJob& job, JobResult r) {
       job.first_us > 0.0 ? (job.first_us - job.submitted_us) * 1e-6 : 0.0;
   r.exec_seconds = job.exec_us * 1e-6;
   r.turnaround_seconds = (done_us - job.submitted_us) * 1e-6;
+  // Terminal race arbitration: the first publisher takes the control
+  // block out of the map and wins; a later publisher for the same job
+  // finds none and is suppressed — exactly one result per accepted job,
+  // always. The node is freed outside the lock.
+  ControlMap::node_type won;
   {
-    // Terminal race arbitration: the first publisher marks the control
-    // block terminal and wins; any later publisher for the same job is
-    // suppressed — exactly one result per accepted job, always. Only
-    // this job's control shard is touched; publishes of unrelated jobs
-    // proceed in parallel.
-    ControlShard& shard = control_shard(job.job_id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(job.job_id);
-    if (it != shard.map.end()) {
-      if (it->second.terminal) {
-        workers_[w]->current_job.store(0, std::memory_order_relaxed);
-        workers_[w]->publish_us += now_us() - p0;
-        return;
-      }
-      it->second.terminal = true;
-      if (r.status == JobStatus::kCancelled &&
-          r.cancel_cause == CancelCause::kNone) {
-        r.cancel_cause = it->second.cause;
-      }
-    }
+    std::lock_guard<std::mutex> lock(control_mu_);
+    won = control_.extract(job.job_id);
+  }
+  if (won.empty()) {
+    workers_[w]->current_job.store(0, std::memory_order_relaxed);
+    workers_[w]->publish_us += now_us() - p0;
+    return;
+  }
+  if (r.status == JobStatus::kCancelled &&
+      r.cancel_cause == CancelCause::kNone) {
+    r.cancel_cause = won.mapped().cause;
   }
   if (r.status == JobStatus::kCancelled) {
     if (r.cancel_cause == CancelCause::kNone) {
@@ -876,13 +841,6 @@ void SimFarm::publish(std::size_t w, QueuedJob& job, JobResult r) {
   const CancelCause cause = r.cancel_cause;
   const bool memo_hit = r.memo_hit;
   const bool feed_dropped = results_.put(std::move(r));
-  {
-    // The control block outlives the result's visibility (cancel() reads
-    // "absent + published" as finished), so erase only after put().
-    ControlShard& shard = control_shard(job.job_id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.erase(job.job_id);
-  }
   workers_[w]->current_job.store(0, std::memory_order_relaxed);
   if (opt_.metrics) {
     std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -928,8 +886,8 @@ void SimFarm::publish(std::size_t w, QueuedJob& job, JobResult r) {
 
 std::string SimFarm::introspect() const {
   // Live snapshot, callable from any thread while the farm runs. Reads
-  // atomics and takes only short leaf locks (queue shards, the result
-  // feed, farm_mu_, memo_mu_) — never metrics_mu_, never a worker join.
+  // atomics and takes only short leaf locks (the queue, the result
+  // store, farm_mu_, memo_mu_) — never metrics_mu_, never a worker join.
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(3);
@@ -941,22 +899,15 @@ std::string SimFarm::introspect() const {
   os << ", \"queue\": {\"depth\": " << queue_.depth()
      << ", \"submitted\": " << queue_.jobs_submitted()
      << ", \"rejected\": " << queue_.jobs_rejected() << ", \"classes\": [";
-  const auto shards = queue_.introspect_shards();
-  for (std::size_t c = 0; c < shards.size(); ++c) {
-    if (c > 0) {
-      os << ", ";
-    }
-    os << "{\"class\": \"" << priority_name(static_cast<Priority>(c))
-       << "\", \"depth\": " << queue_.depth(static_cast<Priority>(c))
-       << ", \"shards\": [";
-    for (std::size_t s = 0; s < shards[c].size(); ++s) {
-      const AdmissionQueue::ShardDepth& sd = shards[c][s];
-      const double age =
-          sd.depth > 0 ? std::max(0.0, now - sd.oldest_queued_us) : 0.0;
-      os << (s > 0 ? ", " : "") << "{\"depth\": " << sd.depth
-         << ", \"oldest_age_us\": " << age << "}";
-    }
-    os << "]}";
+  const auto classes = queue_.introspect_classes();
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const AdmissionQueue::ClassDepth& cd = classes[c];
+    const double age =
+        cd.depth > 0 ? std::max(0.0, now - cd.oldest_queued_us) : 0.0;
+    os << (c > 0 ? ", " : "") << "{\"class\": \""
+       << priority_name(static_cast<Priority>(c))
+       << "\", \"depth\": " << cd.depth << ", \"oldest_age_us\": " << age
+       << "}";
   }
   os << "]}";
 
@@ -1065,20 +1016,17 @@ void SimFarm::supervisor_scan() {
   std::uint64_t deadlines_enforced = 0;
   {
     const double now = now_us();
-    for (ControlShard& shard : control_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (auto& [id, ctl] : shard.map) {
-        if (ctl.terminal || ctl.deadline_at_us <= 0.0 ||
-            now < ctl.deadline_at_us ||
-            ctl.cancel->load(std::memory_order_relaxed)) {
-          continue;
-        }
-        if (ctl.cause == CancelCause::kNone) {
-          ctl.cause = CancelCause::kDeadline;
-        }
-        ctl.cancel->store(true, std::memory_order_relaxed);
-        ++deadlines_enforced;
+    std::lock_guard<std::mutex> lock(control_mu_);
+    for (auto& [id, ctl] : control_) {
+      if (ctl.deadline_at_us <= 0.0 || now < ctl.deadline_at_us ||
+          ctl.cancel->load(std::memory_order_relaxed)) {
+        continue;
       }
+      if (ctl.cause == CancelCause::kNone) {
+        ctl.cause = CancelCause::kDeadline;
+      }
+      ctl.cancel->store(true, std::memory_order_relaxed);
+      ++deadlines_enforced;
     }
   }
   if (deadlines_enforced > 0 && opt_.metrics) {
@@ -1086,7 +1034,7 @@ void SimFarm::supervisor_scan() {
     opt_.metrics->counter("farm.supervisor.deadlines_enforced")
         .add(deadlines_enforced);
   }
-  reclaim_dead_workers(/*allow_respawn=*/true);
+  reclaim_dead_workers();
   update_queue_gauges();
   // Heartbeat scan: a busy worker whose beat has not advanced for
   // `supervisor_miss_threshold` scans is stuck. Escalation (optional)
@@ -1118,10 +1066,9 @@ void SimFarm::supervisor_scan() {
     }
     bool escalated = false;
     {
-      ControlShard& shard = control_shard(current);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.map.find(current);
-      if (it != shard.map.end() && !it->second.terminal) {
+      std::lock_guard<std::mutex> lock(control_mu_);
+      const auto it = control_.find(current);
+      if (it != control_.end()) {
         if (it->second.cause == CancelCause::kNone) {
           it->second.cause = CancelCause::kSupervisor;
         }
@@ -1136,7 +1083,7 @@ void SimFarm::supervisor_scan() {
   }
 }
 
-void SimFarm::reclaim_dead_workers(bool allow_respawn) {
+void SimFarm::reclaim_dead_workers() {
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     Worker& worker = *workers_[w];
     if (!worker.dead.load(std::memory_order_acquire)) {
@@ -1192,7 +1139,7 @@ void SimFarm::reclaim_dead_workers(bool allow_respawn) {
     worker.last_beat = worker.heartbeat.load(std::memory_order_relaxed);
     worker.missed_scans = 0;
     worker.dead.store(false, std::memory_order_release);
-    if (allow_respawn && opt_.respawn_lost_workers && !queue_.stopped()) {
+    if (!queue_.stopped()) {
       worker.thread = std::thread([this, w] { worker_main(w); });
       if (opt_.metrics) {
         std::lock_guard<std::mutex> lock(metrics_mu_);

@@ -53,14 +53,15 @@
 //     (a) exactly one terminal result per accepted spec and (b) every
 //     completed job bit-identical to a standalone run.
 //
-// Scaling (DESIGN.md §14): the submit→pop→run→publish pipeline holds no
-// global lock. Admission is sharded per class (seq-ticket FIFO), the
-// result store is sharded by job id, per-job control blocks are sharded
-// by job id, and in-flight accounting is a single atomic — so adding
+// Scaling (DESIGN.md §14): the submit→pop→run→publish pipeline takes
+// one short critical section per structure — the admission queue, the
+// per-job control map, the result store each have one mutex, held for
+// a deque or map operation and never across a slice — and in-flight
+// accounting is a single atomic. A job runs for milliseconds, so adding
 // workers adds throughput until the machine runs out of cores
 // (tests/farm/farm_scaling_test.cpp pins w4 ≥ 2× w1 on a paced
 // workload). Two dispatch amortizations ride on top:
-//   - *batching*: a worker pops up to FarmOptions::batch_max_jobs
+//   - *batching*: a worker pops up to SimFarm::kBatchMaxJobs
 //     consecutive same-class jobs sharing an engine_cache_key (never
 //     skipping or reordering anything) and runs them back-to-back on one
 //     warm engine; if higher-priority work arrives mid-batch the
@@ -91,7 +92,7 @@
 // Distributed tracing + flight recorder + introspection (DESIGN.md
 // §15, all off by default and provably free when off):
 //   - FarmOptions::tracer samples submissions and threads a
-//     TraceContext through the job's whole life — submit, per-shard
+//     TraceContext through the job's whole life — submit,
 //     enqueue/dequeue, one farm.exec segment per dispatch (attach and
 //     slice children), retry/backoff, supervisor reclaim, publish — so
 //     one job renders as one connected span tree across workers,
@@ -101,14 +102,13 @@
 //     ring of structured events; every kFailed result carries the
 //     failing worker's recent events for its job in
 //     failure.flight_recording, next to the replay tuple.
-//   - introspect() returns a JSON snapshot (per-shard queue depths +
-//     oldest-ticket age, worker states + current span, inflight /
+//   - introspect() returns a JSON snapshot (per-class queue depths +
+//     oldest-job age, worker states + current span, inflight /
 //     memo / result-feed counters) from any thread, and
 //     introspect_interval_ms arms a thread that writes it to
 //     introspect_path periodically.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -197,13 +197,6 @@ struct FarmOptions {
   /// Engines a worker keeps warm, LRU-evicted (keyed by topology +
   /// engine options with the canonical schedule seed).
   std::size_t engine_cache_per_worker = 2;
-  /// Sub-queues per priority class in the AdmissionQueue — submitters
-  /// and poppers contend 1/shards of the time.
-  std::size_t admission_shards = 4;
-  /// Dispatch batching: a worker pops up to this many *consecutive*
-  /// same-class jobs sharing an engine-cache key and runs them
-  /// back-to-back on one warm engine. 1 disables batching.
-  std::size_t batch_max_jobs = 4;
   /// Spec-fingerprint result memoization: kDone results cached under
   /// JobSpec::fingerprint(), identical later specs served without
   /// simulating (LRU bound = this many entries). 0 disables the memo.
@@ -216,6 +209,8 @@ struct FarmOptions {
   double retry_backoff_base_us = 200.0;
   /// Supervisor heartbeat-scan period; 0 disables the supervisor
   /// entirely (kill_worker() then needs shutdown() to resolve orphans).
+  /// The supervisor respawns a replacement into every lost worker's
+  /// slot.
   double supervisor_interval_ms = 20.0;
   /// Consecutive scans a busy worker may go without a heartbeat before
   /// it is declared stuck.
@@ -224,8 +219,6 @@ struct FarmOptions {
   /// worker. Off by default: under heavy sanitizer/CI load a healthy
   /// slice can legitimately outlast the threshold.
   bool supervisor_escalate_stuck = false;
-  /// Respawn a replacement thread into a lost worker's slot.
-  bool respawn_lost_workers = true;
   /// Chaos hook (tests/bench): consulted at every slice boundary.
   std::function<ChaosAction(const ChaosEvent&)> chaos;
   /// Test knobs: force_preempt requeues after *every* quantum even with
@@ -310,8 +303,8 @@ class SimFarm {
   const FarmOptions& options() const { return opt_; }
   std::size_t queue_depth() const { return queue_.depth(); }
 
-  /// Live JSON snapshot of the farm (DESIGN.md §15): per-shard queue
-  /// depths and oldest-ticket age, worker states (busy/idle/dead) with
+  /// Live JSON snapshot of the farm (DESIGN.md §15): per-class queue
+  /// depths and oldest-job age, worker states (busy/idle/dead) with
   /// current job and span, inflight / reclaim / quarantine / memo /
   /// result-feed counters, and tracer/recorder totals when armed.
   /// Callable from any thread at any time; touches only atomics and
@@ -331,6 +324,11 @@ class SimFarm {
   const obs::FlightRecorder* flight_recorder() const {
     return recorder_.get();
   }
+
+  /// Dispatch batching: a worker pops up to this many *consecutive*
+  /// same-class jobs sharing an engine-cache key and runs them
+  /// back-to-back on one warm engine.
+  static constexpr std::size_t kBatchMaxJobs = 4;
 
  private:
   struct CachedEngine {
@@ -377,21 +375,14 @@ class SimFarm {
     std::uint64_t last_beat = 0;
     std::size_t missed_scans = 0;
   };
-  /// Per-job control block, created at admission, erased at publish.
+  /// Per-job control block, created at admission and erased by the
+  /// publisher that wins the job's terminal result.
   struct JobControl {
-    std::shared_ptr<std::atomic<bool>> cancel =
-        std::make_shared<std::atomic<bool>>(false);
+    std::shared_ptr<std::atomic<bool>> cancel;  ///< shared with QueuedJob
     CancelCause cause = CancelCause::kNone;
-    bool terminal = false;     ///< a publisher won; suppress any other
     double deadline_at_us = 0.0;
   };
-  /// Control blocks are sharded by job id so submit / cancel / publish
-  /// for different jobs never contend (DESIGN.md §14).
-  struct ControlShard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, JobControl> map;
-  };
-  static constexpr std::size_t kControlShards = 8;
+  using ControlMap = std::unordered_map<std::uint64_t, JobControl>;
 
   void worker_main(std::size_t w);
   /// Gives batch[from..) back to the *front* of its class, in original
@@ -427,12 +418,6 @@ class SimFarm {
               obs::FlightEventKind kind, std::uint64_t a, std::uint64_t b);
   void introspector_main();
   void write_introspect_file() const;
-  ControlShard& control_shard(std::uint64_t job_id) {
-    return control_[job_id % kControlShards];
-  }
-  const ControlShard& control_shard(std::uint64_t job_id) const {
-    return control_[job_id % kControlShards];
-  }
   /// Memo cache (memo_capacity > 0): LRU of kDone results keyed by
   /// JobSpec::fingerprint(). Lookup refreshes recency and returns a copy.
   std::optional<JobResult> memo_lookup(std::uint64_t fingerprint);
@@ -440,9 +425,9 @@ class SimFarm {
   void supervisor_main();
   void supervisor_scan();
   /// Joins dead workers, requeues their orphans (front of class), and —
-  /// when allowed — respawns replacements. Supervisor thread or, once
-  /// the supervisor is joined, shutdown.
-  void reclaim_dead_workers(bool allow_respawn);
+  /// unless the queue is stopped — respawns replacements. Supervisor
+  /// thread or, once the supervisor is joined, shutdown.
+  void reclaim_dead_workers();
   double now_us() const;
   void update_queue_gauges();
 
@@ -454,9 +439,10 @@ class SimFarm {
   ResultStore results_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  // Lock map (DESIGN.md §14). No lock is global to the hot path:
-  //   - control_[i].mu  — one control shard (submit/cancel/publish of the
-  //     jobs hashing there);
+  // Lock map (DESIGN.md §14). No lock is held across a slice:
+  //   - control_mu_     — the per-job control map (submit/cancel/publish
+  //     and the supervisor's deadline scan). Submit and publish only link
+  //     a node in or out under it: nodes are built and freed outside;
   //   - farm_mu_        — cold paths only: quarantine_, reclaims_, orphan
   //     slots;
   //   - metrics_mu_     — leaf mutex serializing writers of *shared*
@@ -473,7 +459,8 @@ class SimFarm {
   std::condition_variable idle_cv_;
   std::atomic<std::size_t> inflight_{0};  ///< accepted, not yet published
   std::atomic<bool> stopping_{false};
-  std::array<ControlShard, kControlShards> control_;
+  mutable std::mutex control_mu_;
+  ControlMap control_;  ///< guarded by control_mu_
   std::vector<QuarantineRecord> quarantine_;
   std::uint64_t reclaims_ = 0;  ///< guarded by farm_mu_
 

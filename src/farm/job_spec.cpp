@@ -335,7 +335,20 @@ void JobSpec::validate() const {
   if (!streams.empty()) {
     traffic::TrafficHarness::validate_gt_streams(net, streams);
   }
+  // Router-to-router links are combinational, and the static schedule
+  // needs registered boundaries (§4.1): the engine would refuse it.
+  if (engine.policy == core::SchedulePolicy::kStatic) {
+    throw ContextualError("the static schedule needs registered block "
+                          "boundaries; NoC links are combinational",
+                          {{"policy", policy_name(engine.policy)}});
+  }
   if (kind == JobKind::kHostedFpga) {
+    // FpgaDesign::configure always builds the dynamic schedule; any
+    // other policy would be silently dropped.
+    if (engine.policy != core::SchedulePolicy::kDynamic) {
+      throw ContextualError("hosted jobs always run the dynamic schedule",
+                            {{"policy", policy_name(engine.policy)}});
+    }
     // The hosted stack (ArmHost ↔ FpgaDesign) has no warmup window and
     // verifies payloads through its own tag machinery; rejecting these
     // here turns a silent semantic mismatch into a structured reject.

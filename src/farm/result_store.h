@@ -2,40 +2,36 @@
 // JobResults and submitters collect them. Two access patterns:
 //
 //   - point lookup / blocking wait by job id (get / wait), and
-//   - a bounded completion feed (drain_completions) built on the same
-//     fpga::CyclicBuffer that decouples the ARM from the FPGA (§5.2) —
-//     the consumer that falls behind loses the *oldest* notifications
-//     (drop-oldest, counted), never blocks a worker, and can always
-//     recover the dropped results through get().
+//   - a bounded completion feed (drain_completions) with the drop-oldest
+//     discipline of the cyclic buffers that decouple the ARM from the
+//     FPGA (§5.2) — the consumer that falls behind loses the *oldest*
+//     notifications (counted), never blocks a worker, and can always
+//     recover the dropped results through get(). The feed carries full
+//     64-bit job ids.
 //
-// Sharded hot path (DESIGN.md §14): results are striped across S
-// independently-locked shards keyed by job id, each with its own
-// condition variable, so concurrent publishers (and waiters on
-// different jobs) never serialize against each other. Only the bounded
-// completion feed keeps a single short lock — it is an ordered stream
-// by definition. Completion order is carried by a per-result sequence
-// stamp so all() can still present results in publish order.
+// One mutex and one condition variable guard the results, their
+// publish order and the completion feed (DESIGN.md §14): a put() locks
+// once, and a result publish costs microseconds against the
+// milliseconds a job runs, so striping the map bought nothing the farm
+// benches could measure.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "farm/job_result.h"
-#include "fpga/cyclic_buffer.h"
 
 namespace tmsim::farm {
 
 class ResultStore {
  public:
-  explicit ResultStore(std::size_t completion_feed_depth = 64,
-                       std::size_t num_shards = 8);
+  explicit ResultStore(std::size_t completion_feed_depth = 64);
 
   /// Publishes a final result (workers call this exactly once per job).
   /// Never blocks. Returns true when the bounded completion feed was
@@ -75,27 +71,15 @@ class ResultStore {
   std::size_t feed_capacity() const;
 
  private:
-  struct Stored {
-    std::uint64_t seq = 0;  ///< completion order stamp
-    JobResult result;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    mutable std::condition_variable cv;
-    std::unordered_map<std::uint64_t, Stored> results;
-  };
+  /// Pops up to `max_ids` (0 = all) feed entries, oldest first. mu_ held.
+  std::vector<std::uint64_t> take_feed(std::size_t max_ids);
 
-  Shard& shard_for(std::uint64_t job_id) const {
-    return *shards_[job_id % shards_.size()];
-  }
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> size_{0};
-  std::atomic<std::uint64_t> seq_{0};
-
-  mutable std::mutex feed_mu_;
-  std::condition_variable feed_cv_;
-  fpga::CyclicBuffer feed_;
+  const std::size_t feed_capacity_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  std::unordered_map<std::uint64_t, JobResult> results_;
+  std::vector<std::uint64_t> order_;  ///< job ids in publish order
+  std::deque<std::uint64_t> feed_;    ///< at most feed_capacity_ ids
   std::uint64_t dropped_ = 0;
 };
 

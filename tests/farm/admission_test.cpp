@@ -5,6 +5,8 @@
 #include "farm/admission.h"
 
 #include <chrono>
+#include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -228,6 +230,37 @@ TEST(AdmissionQueue, StopWakesBlockedPoppers) {
   });
   q.stop();
   popper.join();  // would hang forever if stop() failed to wake the waiter
+}
+
+TEST(AdmissionQueue, SubmitRacingStopIsStillPopped) {
+  using namespace std::chrono_literals;
+  AdmissionQueue q(4, 1'000'000);
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  SubmitOutcome out;
+  // The accept hook holds an accepted submit between its stop check and
+  // its enqueue while stop() runs and a popper looks for work.
+  std::thread submitter([&] {
+    out = q.submit(spec_with(Priority::kNormal, "late"), 0,
+                   [&](QueuedJob&) {
+                     entered.set_value();
+                     released.wait();
+                   });
+  });
+  entered.get_future().wait();
+  q.stop();
+  std::optional<QueuedJob> got;
+  std::thread popper([&] { got = q.pop_blocking(); });
+  std::this_thread::sleep_for(50ms);
+  release.set_value();
+  submitter.join();
+  popper.join();  // must not report "drained" before the enqueue landed
+  ASSERT_TRUE(out.accepted);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->job_id, out.job_id);
+  EXPECT_EQ(q.depth(), 0u);
+  EXPECT_FALSE(q.pop_blocking().has_value());
 }
 
 }  // namespace

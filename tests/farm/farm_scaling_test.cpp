@@ -1,4 +1,4 @@
-// Scaling proofs for the sharded farm hot path (DESIGN.md §14).
+// Scaling proofs for the farm hot path (DESIGN.md §14).
 //
 // Honesty note, pinned in DESIGN.md: a cycle-accurate simulation job is
 // pure CPU, so on a single-core host w4 can never beat w1 no matter how

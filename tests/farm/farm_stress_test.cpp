@@ -1,16 +1,19 @@
-// Concurrency stress for the sharded farm hot path (DESIGN.md §14):
-// the seq-ticket AdmissionQueue and the sharded ResultStore under many
-// producers and consumers, batched pops, backoff-stamped retries, and
-// drain-after-stop. These run under TSan via the `stress` ctest label
-// (tsan preset), which turns the sharding disciplines — ticket-ordered
-// shard deques, the missed-wakeup protocol, the capacity reservation,
-// the per-shard result publication — into checked properties.
+// Concurrency stress for the farm hot path (DESIGN.md §14): the
+// AdmissionQueue and the ResultStore under many producers and
+// consumers, batched pops, backoff-stamped retries, drain-after-stop and
+// submits racing stop(). These run under TSan via the `stress` ctest
+// label (tsan preset), which turns the locking disciplines — the
+// capacity reservation stop() orders against, the wakeups, the result
+// publication — into checked properties.
 //
 // Every test's core invariant is exactly-once: whatever the
 // interleaving, each accepted job is popped exactly once and each
 // published result is observed exactly once.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -40,8 +43,7 @@ TEST(FarmStress, ManyProducersManyConsumersPopExactlyOnce) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kConsumers = 4;
   constexpr std::size_t kPerProducer = 300;
-  AdmissionQueue queue(kProducers * kPerProducer, 1'000'000, {},
-                       /*num_shards=*/4);
+  AdmissionQueue queue(kProducers * kPerProducer, 1'000'000);
 
   std::mutex mu;
   std::set<std::uint64_t> accepted;
@@ -97,11 +99,11 @@ TEST(FarmStress, BatchPopsAreHomogeneousAndExactlyOnce) {
   const AdmissionQueue::BatchKeyFn key_fn = [](const JobSpec& spec) {
     return 1 + (spec.seed % 3);
   };
-  AdmissionQueue queue(kProducers * kPerProducer, 1'000'000, {},
-                       /*num_shards=*/4, key_fn);
+  AdmissionQueue queue(kProducers * kPerProducer, 1'000'000, {}, key_fn);
 
   std::mutex mu;
   std::set<std::uint64_t> accepted;
+  std::map<std::uint64_t, std::size_t> producer_of;
   std::vector<std::vector<QueuedJob>> batches;
 
   std::vector<std::thread> producers;
@@ -116,6 +118,7 @@ TEST(FarmStress, BatchPopsAreHomogeneousAndExactlyOnce) {
         ASSERT_TRUE(out.accepted) << out.detail;
         std::lock_guard<std::mutex> lock(mu);
         accepted.insert(out.job_id);
+        producer_of[out.job_id] = p;
       }
     });
   }
@@ -153,9 +156,16 @@ TEST(FarmStress, BatchPopsAreHomogeneousAndExactlyOnce) {
       EXPECT_EQ(job.batch_key, batch.front().batch_key);
       EXPECT_EQ(job.batch_key, key_fn(job.spec));
     }
-    // Ticket order within the batch: batching never reorders.
-    for (std::size_t i = 1; i < batch.size(); ++i) {
-      EXPECT_LT(batch[i - 1].seq, batch[i].seq);
+    // Per-producer submission order within the batch: one producer's
+    // same-class jobs are enqueued in id order, and batching never
+    // reorders them.
+    std::map<std::size_t, std::uint64_t> last_id;
+    for (const QueuedJob& job : batch) {
+      const std::size_t p = producer_of.at(job.job_id);
+      if (last_id.contains(p)) {
+        EXPECT_LT(last_id[p], job.job_id) << "producer " << p;
+      }
+      last_id[p] = job.job_id;
     }
   }
   EXPECT_EQ(total, accepted.size());
@@ -166,7 +176,7 @@ TEST(FarmStress, SequentialBatchesPreserveFifoOrder) {
   const AdmissionQueue::BatchKeyFn key_fn = [](const JobSpec& spec) {
     return 1 + (spec.seed % 2);
   };
-  AdmissionQueue queue(100, 1'000'000, {}, /*num_shards=*/4, key_fn);
+  AdmissionQueue queue(100, 1'000'000, {}, key_fn);
   std::vector<std::uint64_t> submitted;
   for (std::size_t i = 0; i < 60; ++i) {
     // Key pattern A A B A B B ... — batches must break exactly at key
@@ -195,7 +205,7 @@ TEST(FarmStress, SequentialBatchesPreserveFifoOrder) {
 }
 
 TEST(FarmStress, BackoffStampedJobsDrainAfterStopUnderConcurrency) {
-  AdmissionQueue queue(64, 1'000'000, {}, /*num_shards=*/4);
+  AdmissionQueue queue(64, 1'000'000);
   std::vector<QueuedJob> held;
   for (std::size_t i = 0; i < 12; ++i) {
     ASSERT_TRUE(queue
@@ -260,7 +270,7 @@ TEST(FarmStress, BackoffStampedJobsDrainAfterStopUnderConcurrency) {
 }
 
 TEST(FarmStress, HasHigherThanProbeRunsRaceFreeAgainstChurn) {
-  AdmissionQueue queue(5000, 1'000'000, {}, /*num_shards=*/4);
+  AdmissionQueue queue(5000, 1'000'000);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> sightings{0};
   // The preemption probe, hammered from two threads while a producer
@@ -300,10 +310,73 @@ TEST(FarmStress, HasHigherThanProbeRunsRaceFreeAgainstChurn) {
   EXPECT_GT(sightings.load(), 0u);  // the probe did see eligible work
 }
 
+TEST(FarmStress, SubmitsRacingStopAreRejectedOrPoppedExactlyOnce) {
+  // Producers submit until stop() turns them away while consumers pop
+  // until the queue reports "stopped and drained". Every submit accepted
+  // around the stop() must still come out of the queue exactly once: a
+  // popper may not report "drained" while an accepted submit is between
+  // its stop check and its enqueue.
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kConsumers = 3;
+  for (std::size_t round = 0; round < 20; ++round) {
+    AdmissionQueue queue(1'000'000, 1'000'000);
+    std::mutex mu;
+    std::set<std::uint64_t> accepted;
+    std::vector<std::uint64_t> popped;
+    std::atomic<std::size_t> submits{0};
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (std::size_t i = 0;; ++i) {
+          const SubmitOutcome out = queue.submit(
+              tiny_spec("x" + std::to_string(p), Priority::kNormal, i), 0.0,
+              [&](QueuedJob&) {
+                // Widen the window between the stop check and the
+                // enqueue that the race lives in.
+                std::this_thread::yield();
+              });
+          submits.fetch_add(1, std::memory_order_relaxed);
+          if (!out.accepted) {
+            ASSERT_EQ(out.reason, RejectReason::kStopped) << out.detail;
+            return;
+          }
+          std::lock_guard<std::mutex> lock(mu);
+          accepted.insert(out.job_id);
+        }
+      });
+    }
+    std::vector<std::thread> consumers;
+    for (std::size_t c = 0; c < kConsumers; ++c) {
+      consumers.emplace_back([&] {
+        std::vector<std::uint64_t> mine;
+        while (std::optional<QueuedJob> job = queue.pop_blocking()) {
+          mine.push_back(job->job_id);
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        popped.insert(popped.end(), mine.begin(), mine.end());
+      });
+    }
+    while (submits.load(std::memory_order_relaxed) < 50 * (round + 1)) {
+      std::this_thread::yield();
+    }
+    queue.stop();
+    for (auto& t : producers) {
+      t.join();
+    }
+    for (auto& t : consumers) {
+      t.join();
+    }
+    const std::set<std::uint64_t> unique(popped.begin(), popped.end());
+    ASSERT_EQ(unique.size(), popped.size()) << "a job was popped twice";
+    ASSERT_EQ(unique, accepted) << "round " << round;
+    ASSERT_EQ(queue.depth(), 0u) << "round " << round;
+  }
+}
+
 TEST(FarmStress, ResultStorePutStormKeepsEveryResultAndFeedAccounting) {
   constexpr std::size_t kWriters = 8;
   constexpr std::size_t kPerWriter = 300;
-  ResultStore store(/*completion_feed_depth=*/64, /*num_shards=*/8);
+  ResultStore store(/*completion_feed_depth=*/64);
 
   std::vector<std::thread> writers;
   for (std::size_t t = 0; t < kWriters; ++t) {

@@ -316,9 +316,9 @@ TEST(FarmTrace, IntrospectSnapshotIsLiveAndBalanced) {
     EXPECT_EQ(open, close) << *s;
     for (const char* key :
          {"\"ts_us\"", "\"inflight\"", "\"queue\"", "\"classes\"",
-          "\"shards\"", "\"oldest_age_us\"", "\"workers\"", "\"state\"",
-          "\"results\"", "\"feed_fill\"", "\"feed_capacity\"", "\"memo\"",
-          "\"trace\"", "\"flight\"", "\"counters\""}) {
+          "\"oldest_age_us\"", "\"workers\"", "\"state\"", "\"results\"",
+          "\"feed_fill\"", "\"feed_capacity\"", "\"memo\"", "\"trace\"",
+          "\"flight\"", "\"counters\""}) {
       EXPECT_NE(s->find(key), std::string::npos) << key << " in " << *s;
     }
   }

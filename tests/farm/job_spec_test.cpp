@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "farm/admission.h"
 
 namespace tmsim::farm {
 namespace {
@@ -167,6 +168,53 @@ TEST(JobSpec, ValidateCatchesUnsatisfiableSpecs) {
   }
   EXPECT_NO_THROW(rich_spec().validate());
   EXPECT_NO_THROW(JobSpec{}.validate());
+}
+
+TEST(JobSpec, ValidateRejectsEnginePoliciesTheJobCannotHonour) {
+  JobSpec core_job;
+  core_job.net.width = 2;
+  core_job.net.height = 2;
+  for (const noc::Topology t : {noc::Topology::kMesh, noc::Topology::kTorus}) {
+    core_job.net.topology = t;
+    core_job.engine.policy = core::SchedulePolicy::kStatic;
+    // The engine refuses a static schedule on a NoC (its links are
+    // combinational), so admission must refuse it too…
+    EXPECT_THROW(core::SeqNocSimulation(core_job.net, core_job.engine),
+                 std::exception);
+    EXPECT_THROW(core_job.validate(), std::exception);
+    // …while the other schedules stay valid for core jobs.
+    core_job.engine.policy = core::SchedulePolicy::kTwoPhaseOracle;
+    EXPECT_NO_THROW(core_job.validate());
+    core_job.engine.policy = core::SchedulePolicy::kDynamic;
+    EXPECT_NO_THROW(core_job.validate());
+  }
+
+  // A hosted job always runs the dynamic schedule: any other policy is
+  // rejected instead of silently dropped.
+  JobSpec hosted = core_job;
+  hosted.kind = JobKind::kHostedFpga;
+  EXPECT_NO_THROW(hosted.validate());
+  for (const core::SchedulePolicy p : {core::SchedulePolicy::kStatic,
+                                       core::SchedulePolicy::kTwoPhaseOracle}) {
+    hosted.engine.policy = p;
+    EXPECT_THROW(hosted.validate(), std::exception);
+  }
+
+  // Admission turns both into structured kInvalidSpec rejects.
+  AdmissionQueue q(4, 1'000'000);
+  hosted.engine.policy = core::SchedulePolicy::kTwoPhaseOracle;
+  const SubmitOutcome hosted_out = q.submit(hosted, 0);
+  EXPECT_FALSE(hosted_out.accepted);
+  EXPECT_EQ(hosted_out.reason, RejectReason::kInvalidSpec);
+  EXPECT_NE(hosted_out.detail.find("dynamic"), std::string::npos)
+      << hosted_out.detail;
+  core_job.engine.policy = core::SchedulePolicy::kStatic;
+  const SubmitOutcome static_out = q.submit(core_job, 0);
+  EXPECT_FALSE(static_out.accepted);
+  EXPECT_EQ(static_out.reason, RejectReason::kInvalidSpec);
+  EXPECT_NE(static_out.detail.find("combinational"), std::string::npos)
+      << static_out.detail;
+  EXPECT_EQ(q.depth(), 0u);
 }
 
 TEST(JobSpec, DeriveSeedSeparatesDomains) {

@@ -54,6 +54,20 @@ TEST(ResultStore, FeedOverflowDropsOldestAndCounts) {
   EXPECT_EQ(store.completions_dropped(), 3u);  // unchanged
 }
 
+TEST(ResultStore, FeedCarriesFullSixtyFourBitJobIds) {
+  using namespace std::chrono_literals;
+  // A long-running farmd passes 2^32 job ids; the feed must not wrap
+  // them.
+  const std::uint64_t big = (1ull << 32) + 7;
+  ResultStore store(/*completion_feed_depth=*/4);
+  store.put(result_with_id(big));
+  EXPECT_EQ(store.drain_completions(), (std::vector<std::uint64_t>{big}));
+  store.put(result_with_id(big + 1));
+  EXPECT_EQ(store.next_batch(0, 0us), (std::vector<std::uint64_t>{big + 1}));
+  ASSERT_TRUE(store.get(big).has_value());
+  EXPECT_EQ(store.get(big)->job_id, big);
+}
+
 TEST(ResultStore, NextBatchBlocksUntilCompletionOrDeadline) {
   using namespace std::chrono_literals;
   ResultStore store(/*completion_feed_depth=*/8);
