@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -89,13 +90,21 @@ inline std::string git_sha() {
   return "unknown";
 }
 
+#ifndef TMSIM_BUILD_TYPE
+#define TMSIM_BUILD_TYPE "unknown"
+#endif
+
 /// Writes BENCH_<name>.json in the working directory: {bench, git_sha,
-/// config{...}, metrics[{name, value, unit}]}. CI greps these instead of
-/// parsing the human tables.
+/// config{..., host_cores, compiler, build_type}, metrics[{name, value,
+/// unit}]}. CI greps these instead of parsing the human tables.
 inline void emit_bench_json(
     const std::string& name,
-    const std::vector<std::pair<std::string, std::string>>& config,
+    std::vector<std::pair<std::string, std::string>> config,
     const std::vector<BenchMetric>& metrics) {
+  config.emplace_back("host_cores",
+                      std::to_string(std::thread::hardware_concurrency()));
+  config.emplace_back("compiler", __VERSION__);
+  config.emplace_back("build_type", TMSIM_BUILD_TYPE);
   const std::string path = "BENCH_" + name + ".json";
   std::ofstream os(path);
   if (!os) {

@@ -1,22 +1,24 @@
-// Worklist-scheduler speedup (DESIGN.md §12): event-driven worklist vs
-// the paper's dense §4.2 round-robin sweep, on both host engines.
+// Scheduler speedup (DESIGN.md §17): the activity-gated compiled
+// schedule vs the paper's dense §4.2 round-robin sweep, on both engine
+// shapes.
 //
 // The dense sweep pays one evaluation per block per system cycle even
 // when the network is completely idle ("it is guaranteed that all
 // routers are evaluated at least once") plus an O(num_blocks) scan to
-// find the non-stable ones. The worklist scheduler replaces the scan
-// with a dedup'd FIFO fed by link-change events and skips quiescent
-// blocks outright (the state-fixed-point fast path), so its per-cycle
-// cost tracks *activity*, not network size. The differential suite
+// find the non-stable ones. The compiled schedule replays a build-time
+// op list and skips every block op whose inputs have not changed since
+// the block's last evaluation (and which either already ran this cycle
+// or sits at a state fixed point), so its per-cycle cost tracks
+// *activity*, not network size. The differential suite
 // (tests/integration/sched_equivalence_test.cpp) proves the results
 // bit-identical; this bench prices the difference:
 //
-//   idle      — no traffic at all: the fast path's best case
-//   sparse    — 2% injection: the regime the scheduler targets
-//   saturated — 50% injection: everything active, the fast path's
-//               worst case (must not be materially slower than dense)
+//   idle      — no traffic at all: the activity gate's best case
+//   sparse    — 2% injection: the regime the gate targets
+//   saturated — 50% injection: everything active, the gate's worst case
+//               (must not be slower than the dense sweep)
 //
-// Rows for the sequential engine and the 4-shard bulk-synchronous
+// Rows for the one-shard engine and the 4-shard bulk-synchronous
 // engine; per-cycle evaluation/skip counts come from the engine.sched.*
 // registry rows so the speedup can be read against the work elided.
 #include <cstdio>
@@ -40,7 +42,7 @@ using namespace tmsim;
 struct Row {
   double cps = 0;                ///< wall-clock simulated cycles per second
   double evals_per_cycle = 0;    ///< delta evaluations per system cycle
-  double skipped_per_cycle = 0;  ///< quiescence-fast-path skips per cycle
+  double skipped_per_cycle = 0;  ///< blocks not evaluated per cycle
 };
 
 Row measure(const noc::NetworkConfig& net, std::size_t shards,
@@ -76,9 +78,9 @@ Row measure(const noc::NetworkConfig& net, std::size_t shards,
 //
 // The acyclic-region-dominated adversary: an XOR chain whose block ids
 // run *against* the dataflow, with every block also fed by its own
-// changing external input. Each cycle the event-driven worklist seeds
-// all n blocks in id order — the wrong order — so the change wavefront
-// crosses the FIFO against the dataflow and the fixed point costs
+// changing external input. Each cycle the round-robin sweep visits the
+// blocks in id order — the wrong order — so the change wavefront
+// crosses the sweep against the dataflow and the fixed point costs
 // ~n²/2 evaluations per cycle. The compiled schedule evaluates the
 // same chain in topological order: exactly n evaluations, every cycle.
 // ---------------------------------------------------------------------------
@@ -107,7 +109,7 @@ struct ChainModel {
         model.add_link("head_in", 16, LinkKind::kCombinational);
     ext.push_back(head_in);
     // chain[i+1] feeds b[i].in1, so chain values flow head -> tail
-    // while ids (and the worklist's seed order) run tail -> head.
+    // while ids (and the round-robin sweep order) run tail -> head.
     for (std::size_t i = 0; i < n; ++i) {
       model.bind_input(b[i], 0, ext[i]);
       model.bind_input(b[i], 1, i + 1 < n ? chain[i + 1] : head_in);
@@ -148,9 +150,11 @@ Row measure_chain(const core::SystemModel& model,
 }  // namespace
 
 int main() {
-  bench::print_header("Worklist scheduler",
-                      "event-driven worklist vs dense round-robin sweep");
+  bench::print_header("Scheduler",
+                      "activity-gated compiled schedule vs dense round-robin "
+                      "sweep");
   std::vector<bench::BenchMetric> metrics;
+  std::vector<bench::BenchMetric> cmetrics;
   const std::size_t scale = bench::quick_mode() ? 4 : 1;
 
   noc::NetworkConfig net;
@@ -171,29 +175,41 @@ int main() {
     const char* eng = shards == 1 ? "seq" : "sharded";
     std::printf("\n%s engine (shards=%zu):\n", eng, shards);
     std::printf("  %-10s %12s %12s %8s %11s %11s\n", "load", "rr cyc/s",
-                "wl cyc/s", "speedup", "wl evals/c", "wl skips/c");
+                "cp cyc/s", "speedup", "cp evals/c", "cp skips/c");
     for (const auto& l : kLoads) {
       const std::size_t cycles = (l.load >= 0.5 ? 400 : 1200) / scale;
       const Row rr = measure(net, shards, core::SchedulerKind::kRoundRobin,
                              l.load, cycles);
-      const Row wl = measure(net, shards, core::SchedulerKind::kWorklist,
+      const Row cp = measure(net, shards, core::SchedulerKind::kCompiled,
                              l.load, cycles);
-      const double speedup = wl.cps / rr.cps;
+      const double speedup = cp.cps / rr.cps;
       std::printf("  %-10s %12.0f %12.0f %7.2fx %11.1f %11.1f\n", l.name,
-                  rr.cps, wl.cps, speedup, wl.evals_per_cycle,
-                  wl.skipped_per_cycle);
+                  rr.cps, cp.cps, speedup, cp.evals_per_cycle,
+                  cp.skipped_per_cycle);
       const std::string tag = std::string(eng) + "." + l.name;
       metrics.push_back({"sched.speedup." + tag, speedup, "ratio"});
-      metrics.push_back({"sched.wl_evals_per_cycle." + tag,
-                         wl.evals_per_cycle, "count"});
-      metrics.push_back({"sched.wl_skips_per_cycle." + tag,
-                         wl.skipped_per_cycle, "count"});
+      metrics.push_back({"sched.cp_evals_per_cycle." + tag,
+                         cp.evals_per_cycle, "count"});
+      metrics.push_back({"sched.cp_skips_per_cycle." + tag,
+                         cp.skipped_per_cycle, "count"});
       metrics.push_back({"sched.rr_evals_per_cycle." + tag,
                          rr.evals_per_cycle, "count"});
-      if (shards == 1 && l.load > 0.0 && l.load <= 0.1) {
-        // The headline acceptance metric: worklist vs round-robin on a
-        // sparse (≤10% injection) workload, sequential engine.
-        metrics.push_back({"sched.speedup.sparse", speedup, "ratio"});
+      if (shards == 1) {
+        // The one-shard NoC rows of BENCH_compiled_speedup.json.
+        cmetrics.push_back({"compiled.noc_cps.round_robin." +
+                                std::string(l.name),
+                            rr.cps, "cycles/s"});
+        cmetrics.push_back({"compiled.noc_cps.compiled." +
+                                std::string(l.name),
+                            cp.cps, "cycles/s"});
+        cmetrics.push_back({"compiled.noc_evals_per_cycle." +
+                                std::string(l.name),
+                            cp.evals_per_cycle, "count"});
+        if (l.load > 0.0 && l.load <= 0.1) {
+          // The headline metric: compiled vs round-robin on a sparse
+          // (≤10% injection) workload, one-shard engine.
+          metrics.push_back({"sched.speedup.sparse", speedup, "ratio"});
+        }
       }
     }
   }
@@ -207,11 +223,12 @@ int main() {
       metrics);
 
   // ------------------------------------------------------------------
-  // Compiled static-schedule sweep: BENCH_compiled_speedup.json.
+  // Compiled-schedule record: BENCH_compiled_speedup.json — the chain
+  // rows below plus the one-shard NoC rows above.
   // ------------------------------------------------------------------
   bench::print_header("Compiled schedule",
-                      "build-time static schedule vs run-time worklist");
-  std::vector<bench::BenchMetric> cmetrics;
+                      "build-time static schedule vs the round-robin "
+                      "reference");
   const std::size_t chain_n = bench::quick_mode() ? 48 : 96;
   const std::size_t chain_cycles = bench::quick_mode() ? 60 : 200;
   ChainModel chain(chain_n);
@@ -221,54 +238,26 @@ int main() {
   const Row crr = measure_chain(chain.model, chain.ext,
                                 core::SchedulerKind::kRoundRobin,
                                 chain_cycles);
-  const Row cwl = measure_chain(chain.model, chain.ext,
-                                core::SchedulerKind::kWorklist, chain_cycles);
   const Row ccp = measure_chain(chain.model, chain.ext,
                                 core::SchedulerKind::kCompiled, chain_cycles);
   std::printf("  %-12s %12s %12s\n", "scheduler", "cyc/s", "evals/cyc");
   std::printf("  %-12s %12.0f %12.1f\n", "round_robin", crr.cps,
               crr.evals_per_cycle);
-  std::printf("  %-12s %12.0f %12.1f\n", "worklist", cwl.cps,
-              cwl.evals_per_cycle);
   std::printf("  %-12s %12.0f %12.1f\n", "compiled", ccp.cps,
               ccp.evals_per_cycle);
-  std::printf("  compiled vs worklist: %.2fx cyc/s, %.1fx fewer evals\n",
-              ccp.cps / cwl.cps, cwl.evals_per_cycle / ccp.evals_per_cycle);
-  cmetrics.push_back(
-      {"compiled.table3_cps.round_robin", crr.cps, "cycles/s"});
-  cmetrics.push_back({"compiled.table3_cps.worklist", cwl.cps, "cycles/s"});
-  cmetrics.push_back({"compiled.table3_cps.compiled", ccp.cps, "cycles/s"});
-  // The headline acceptance metric: compiled over worklist cycle rate on
-  // the acyclic-region-dominated config (bench_schema_test pins >= 3x).
-  cmetrics.push_back(
-      {"compiled.speedup.table3_cps", ccp.cps / cwl.cps, "ratio"});
-  cmetrics.push_back({"compiled.evals_per_cycle.worklist",
-                      cwl.evals_per_cycle, "count"});
-  cmetrics.push_back({"compiled.evals_per_cycle.compiled",
-                      ccp.evals_per_cycle, "count"});
-
-  // NoC rows: the mesh's link graph is acyclic after dependency pruning,
-  // so the compiled schedule must hold its own against the worklist's
-  // quiescence fast path on real router workloads too.
-  std::printf("\nNoC (seq engine):\n");
-  std::printf("  %-10s %12s %12s %8s\n", "load", "wl cyc/s", "cp cyc/s",
-              "cp/wl");
-  for (const auto& l : kLoads) {
-    const std::size_t cycles = (l.load >= 0.5 ? 400 : 1200) / scale;
-    const Row wl =
-        measure(net, 1, core::SchedulerKind::kWorklist, l.load, cycles);
-    const Row cp =
-        measure(net, 1, core::SchedulerKind::kCompiled, l.load, cycles);
-    std::printf("  %-10s %12.0f %12.0f %7.2fx\n", l.name, wl.cps, cp.cps,
-                cp.cps / wl.cps);
-    cmetrics.push_back({"compiled.noc_cps.worklist." + std::string(l.name),
-                        wl.cps, "cycles/s"});
-    cmetrics.push_back({"compiled.noc_cps.compiled." + std::string(l.name),
-                        cp.cps, "cycles/s"});
-    cmetrics.push_back({"compiled.noc_evals_per_cycle." + std::string(l.name),
-                        cp.evals_per_cycle, "count"});
-  }
-  std::printf("\n");
+  std::printf("  compiled vs round_robin: %.2fx cyc/s, %.1fx fewer evals\n\n",
+              ccp.cps / crr.cps, crr.evals_per_cycle / ccp.evals_per_cycle);
+  const std::vector<bench::BenchMetric> noc_rows = std::move(cmetrics);
+  cmetrics = {
+      {"compiled.table3_cps.round_robin", crr.cps, "cycles/s"},
+      {"compiled.table3_cps.compiled", ccp.cps, "cycles/s"},
+      // The headline metric: compiled over round-robin cycle rate on the
+      // acyclic-region-dominated config (bench_schema_test pins >= 3x).
+      {"compiled.speedup.table3_cps", ccp.cps / crr.cps, "ratio"},
+      {"compiled.evals_per_cycle.round_robin", crr.evals_per_cycle, "count"},
+      {"compiled.evals_per_cycle.compiled", ccp.evals_per_cycle, "count"},
+  };
+  cmetrics.insert(cmetrics.end(), noc_rows.begin(), noc_rows.end());
 
   bench::emit_bench_json(
       "compiled_speedup",

@@ -63,10 +63,10 @@ LinkGraph build_link_graph(const SystemModel& model,
   // Pruned edges: li→lo when a block reads li on port p, writes lo on
   // port q, and the block's dependency metadata keeps (q, p).
   for (BlockId b = 0; b < n; ++b) {
-    if (!g.included[b]) {
+    const core::BlockInstance& inst = model.block(b);
+    if (!g.included[b] || inst.logic->outputs_depend_on_state_only()) {
       continue;
     }
-    const core::BlockInstance& inst = model.block(b);
     for (std::size_t p = 0; p < inst.input_links.size(); ++p) {
       const std::uint32_t src = g.node_of[inst.input_links[p]];
       if (src == kNoNode) {
@@ -98,6 +98,7 @@ std::vector<std::vector<std::uint32_t>> cyclic_sccs(const LinkGraph& g) {
   std::vector<std::int64_t> low(nn, 0);
   std::vector<char> on_stack(nn, 0);
   std::vector<std::uint32_t> stk;
+  std::vector<std::uint32_t> comp;  // scratch; copied out only if cyclic
   std::vector<std::vector<std::uint32_t>> out;
   std::int64_t next_index = 0;
   struct Frame {
@@ -128,7 +129,7 @@ std::vector<std::vector<std::uint32_t>> cyclic_sccs(const LinkGraph& g) {
         continue;
       }
       if (low[v] == idx[v]) {
-        std::vector<std::uint32_t> comp;
+        comp.clear();
         while (true) {
           const std::uint32_t w = stk.back();
           stk.pop_back();
@@ -139,7 +140,7 @@ std::vector<std::vector<std::uint32_t>> cyclic_sccs(const LinkGraph& g) {
           }
         }
         if (comp.size() > 1 || g.self_edge[v]) {
-          out.push_back(std::move(comp));
+          out.push_back(comp);
         }
       }
       frames.pop_back();
@@ -190,6 +191,7 @@ std::vector<BlockId> drive_plan(const SystemModel& model, const LinkGraph& g,
   std::vector<char> kept(n, 0);
   std::vector<BlockId> plan;
   std::vector<BlockId> dfs;
+  std::vector<BlockId> touched;
   std::vector<char> seen(n, 0);
   for (BlockId b = 0; b < n; ++b) {
     if (!g.included[b]) {
@@ -203,7 +205,7 @@ std::vector<BlockId> drive_plan(const SystemModel& model, const LinkGraph& g,
     // successors, restricted to kept ∪ {b}, looking for b.
     bool cycle = false;
     dfs.clear();
-    std::vector<BlockId> touched;
+    touched.clear();
     for (BlockId s : succ[b]) {
       if (kept[s] && !seen[s]) {
         seen[s] = 1;
@@ -306,6 +308,25 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model,
     }
   }
 
+  // Drive candidates, lowest key first: the precomputed plan's blocks in
+  // plan order (ascending id), then every other block by id. An entry is
+  // checked when it reaches the top; a block's output can only become
+  // driveable when its last pending dependency is finalized, and
+  // finalize() pushes the block again at that moment.
+  const std::vector<BlockId> plan = drive_plan(model, g, sched.scc_of_link);
+  std::vector<char> in_plan(n, 0);
+  for (const BlockId b : plan) {
+    in_plan[b] = 1;
+  }
+  const auto drive_key = [&](BlockId b) { return in_plan[b] ? b : n + b; };
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
+      drives;
+  for (BlockId b = 0; b < n; ++b) {
+    if (g.included[b]) {
+      drives.push(drive_key(b));
+    }
+  }
+
   // Finalizing a link unblocks its reader, its dependent links, and any
   // SCC waiting on it.
   const auto finalize = [&](LinkId l) {
@@ -318,8 +339,10 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model,
     const std::uint32_t s_src = sched.scc_of_link[l];
     for (std::uint32_t dst : g.adj[g.node_of[l]]) {
       const LinkId lo = g.link_of[dst];
-      --deps_pending[lo];
       const std::uint32_t s_dst = sched.scc_of_link[lo];
+      if (--deps_pending[lo] == 0 && s_dst == 0 && !final_link[lo]) {
+        drives.push(drive_key(model.link(lo).writer->block));
+      }
       if (s_dst != 0 && s_src != s_dst) {
         --scc_ext_pending[s_dst - 1];
       }
@@ -354,7 +377,6 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model,
     return false;
   };
 
-  const std::vector<BlockId> plan = drive_plan(model, g, sched.scc_of_link);
   std::vector<char> settled(sched.sccs.size(), 0);
   std::size_t remaining = g.included_blocks;
 
@@ -404,17 +426,12 @@ CompiledSchedule build_compiled_schedule(const SystemModel& model,
     // 3. Drive: an early evaluation that finalizes outputs whose pruned
     // dependencies are already final. Prefer the precomputed plan.
     BlockId drive = n;
-    for (BlockId b : plan) {
+    while (drive == n && !drives.empty()) {
+      const std::size_t key = drives.top();
+      drives.pop();
+      const BlockId b = key < n ? key : key - n;
       if (!committed[b] && has_driveable_output(b)) {
         drive = b;
-        break;
-      }
-    }
-    if (drive == n) {
-      for (BlockId b = 0; b < n && drive == n; ++b) {
-        if (g.included[b] && !committed[b] && has_driveable_output(b)) {
-          drive = b;
-        }
       }
     }
     if (drive == n) {

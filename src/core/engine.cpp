@@ -148,13 +148,13 @@ EngineCheckpoint save_checkpoint(const Engine& eng) {
   }
   ck.digest = states_digest(ck.block_states);
   ck.sched = eng.scheduler_checkpoint();
-  // Internal combinational link values ride along (ascending link id) so
-  // the scheduler's quiescence flags stay sound after the restore — a
-  // block the fast path skips never rewrites its outputs.
+  // Block-driven combinational link values ride along (ascending link
+  // id) so the scheduler's activity flags stay sound after the restore —
+  // a block the fast path skips never rewrites its outputs, including
+  // the ones only the testbench reads.
   for (LinkId l = 0; l < model.num_links(); ++l) {
     const LinkInfo& info = model.link(l);
-    if (info.kind == LinkKind::kCombinational && info.writer.has_value() &&
-        !info.readers.empty()) {
+    if (info.kind == LinkKind::kCombinational && info.writer.has_value()) {
       ck.link_ids.push_back(l);
       ck.link_values.push_back(eng.link_value(l));
     }
@@ -224,7 +224,7 @@ void reset_engine(Engine& eng) {
     eng.load_block_state(b, model.block(b).logic->reset_state());
   }
   // Power-on scheduling state too: cursors back to their seeded offsets,
-  // quiescence flags cleared — a reused farm engine must not leak the
+  // activity flags cleared — a reused farm engine must not leak the
   // previous tenant's scheduling stats into the next job's stream.
   eng.restore_scheduler_state({});
   eng.rebase(0, 0);
@@ -243,42 +243,6 @@ void check_external_input(const SystemModel& model, LinkId link) {
         "link '" + info.name +
             "' has no readers: driving it is a silently dropped stimulus",
         {{"link", std::to_string(link)}, {"name", info.name}});
-  }
-}
-
-void check_scheduler_topology(const SystemModel& model, SchedulerKind kind) {
-  if (kind != SchedulerKind::kWorklist) {
-    return;
-  }
-  for (LinkId l = 0; l < model.num_links(); ++l) {
-    const LinkInfo& info = model.link(l);
-    if (info.kind != LinkKind::kCombinational) {
-      continue;
-    }
-    if (info.writer.has_value()) {
-      for (const Endpoint& r : info.readers) {
-        if (r.block == info.writer->block) {
-          throw ContextualError(
-              "combinational self-loop link '" + info.name +
-                  "': the worklist scheduler would requeue its block on "
-                  "every evaluation; break the loop with a registered link "
-                  "or run the round_robin scheduler",
-              {{"link", std::to_string(l)},
-               {"name", info.name},
-               {"block", std::to_string(info.writer->block)},
-               {"scheduler", scheduler_kind_name(kind)}});
-        }
-      }
-    } else if (info.readers.empty()) {
-      throw ContextualError(
-          "external combinational link '" + info.name +
-              "' has an empty reader set: a stimulus on it is an event "
-              "that wakes no block, which the worklist scheduler would "
-              "silently drop",
-          {{"link", std::to_string(l)},
-           {"name", info.name},
-           {"scheduler", scheduler_kind_name(kind)}});
-    }
   }
 }
 

@@ -35,26 +35,24 @@ enum class SchedulePolicy : std::uint8_t {
 ///  - kRoundRobin: the paper's Fig. 5 scheduler — a dense sweep over the
 ///    unstable bitmap. O(num_blocks) scan work per delta sweep even when
 ///    almost every block is stable. This is the reference semantics.
-///  - kWorklist: event-driven. Clearing a link's HBR bit pushes exactly
-///    that link's readers onto a dedup'd FIFO worklist (the reader index
-///    is the link topology itself), so pickup is O(1) per event. A
-///    per-system-cycle quiescence fast path additionally skips blocks
-///    with no pending input activity whose last evaluation was a state
-///    fixed point: re-evaluating such a block would reproduce last
-///    cycle's outputs and state bit-for-bit, so not evaluating it at all
-///    is invisible. Results are bit-identical to kRoundRobin by the
-///    engine contract (tests/integration/sched_equivalence_test.cpp
-///    proves it differentially); only StepStats may differ.
-///  - kCompiled: static. A build-time analysis pass
-///    (src/analysis/static_schedule.h) condenses the combinational link
-///    graph's strongly-connected components, topologically orders the
-///    condensation, and emits a fixed op list executed verbatim every
-///    system cycle — no HBR bookkeeping, no unstable bitmap, no
-///    worklist for acyclic regions; true combinational cycles settle in
-///    a scoped worklist confined to their SCC under the usual
-///    convergence budget. Bit-identical to the dynamic schedulers by
-///    the same differential proof (plus the 3-way `ctest -L compiled`
-///    suite); only StepStats may differ.
+///  - kCompiled: the activity-gated compiled schedule. A build-time
+///    analysis pass (src/analysis/static_schedule.h) condenses the
+///    combinational link graph's strongly-connected components,
+///    topologically orders the condensation, and emits a fixed op list
+///    replayed every system cycle — no HBR bookkeeping and no unstable
+///    bitmap for acyclic regions; true combinational cycles settle in a
+///    scoped worklist confined to their SCC under the usual convergence
+///    budget. Each block op is skipped when the block has no input
+///    change since its last evaluation and either already evaluated this
+///    cycle, or touches combinational links only and sits at a state
+///    fixed point: re-evaluating it would reproduce its outputs and
+///    state bit-for-bit, so not evaluating it is invisible. Results are
+///    bit-identical to kRoundRobin by the engine contract
+///    (tests/integration/sched_equivalence_test.cpp and the `ctest -L
+///    compiled` suite prove it differentially); only StepStats differ.
+///  - kWorklist: an alias of kCompiled. It names the event-driven
+///    scheduler the gated compiled schedule replaced, and stays so that
+///    job texts and benches that name it keep parsing and running.
 enum class SchedulerKind : std::uint8_t {
   kRoundRobin = 0,
   kWorklist = 1,
@@ -101,14 +99,13 @@ struct StepStats {
   DeltaCycle delta_cycles = 0;
   /// delta_cycles minus the blocks evaluated at least once this cycle:
   /// the §4.2 re-evaluation overhead. For the round-robin scheduler the
-  /// subtrahend is num_blocks; the worklist scheduler's quiescence fast
-  /// path can evaluate fewer (see skipped_blocks).
+  /// subtrahend is num_blocks; the compiled schedule's activity gate can
+  /// evaluate fewer (see skipped_blocks).
   DeltaCycle re_evaluations = 0;
-  /// Blocks the worklist scheduler's quiescence fast path did not
-  /// evaluate at all this cycle (0 under round-robin).
+  /// Blocks with no evaluation at all this cycle, each counted once:
+  /// skipped_blocks + (delta_cycles - re_evaluations) == num_blocks.
+  /// 0 under round-robin.
   std::uint64_t skipped_blocks = 0;
-  /// Deepest worklist occupancy seen this cycle (0 under round-robin).
-  std::uint64_t worklist_high_water = 0;
   /// Combinational link writes whose value differed from memory.
   std::size_t link_changes = 0;
   /// Settle/exchange rounds (supersteps) the cycle took: 1 for a
@@ -184,25 +181,22 @@ class SimObserver {
 /// Scheduler-canonical bookkeeping carried alongside the architectural
 /// state (DESIGN.md §17). None of it can affect results — that is the
 /// engine contract — but it does affect *StepStats*: the round-robin
-/// cursor persists across cycles, and the worklist's quiescence flags
-/// decide which blocks get skipped. A farm job preempted on one worker
+/// cursor persists across cycles, and the compiled schedule's activity
+/// flags decide which blocks get skipped. A farm job preempted on one worker
 /// and resumed on another must replay the same scheduling stats stream
 /// it would have produced uninterrupted, so checkpoints carry this too.
 /// Deliberately excluded from the checkpoint digest: it is not
 /// architectural state.
 ///
 /// The encoding is partition-agnostic: one cursor per shard and the
-/// quiescence flags in model block order. A restore into an engine whose
-/// shape does not match — or from a default-constructed (empty)
-/// snapshot — canonicalizes instead:
-/// cursors back to their seeded initial offsets, flags cleared. The
-/// compiled scheduler has no entry here at all: a static schedule
-/// carries zero dynamic scheduling state, which is what makes its
-/// preemption trivially invisible.
+/// activity flags in model block order (empty unless the compiled
+/// schedule runs). A restore into an engine whose shape does not match —
+/// or from a default-constructed (empty) snapshot — canonicalizes
+/// instead: cursors back to their seeded initial offsets, flags cleared.
 struct SchedulerCheckpoint {
   std::vector<std::size_t> rr_cursors;  ///< one per shard
-  std::vector<char> state_fixed;        ///< worklist flags, model order
-  std::vector<char> pending_input;      ///< worklist flags, model order
+  std::vector<char> state_fixed;        ///< activity flags, model order
+  std::vector<char> pending_input;      ///< activity flags, model order
 
   bool empty() const {
     return rr_cursors.empty() && state_fixed.empty() && pending_input.empty();
@@ -215,10 +209,10 @@ struct EngineCheckpoint {
   std::vector<BitVector> block_states;  ///< one per block, model order
   std::uint64_t digest = 0;             ///< FNV-1a over the states
   SchedulerCheckpoint sched;            ///< stats-stream resume state
-  /// Committed values of the internal combinational links (ids ascending,
-  /// values parallel). Derived state — recomputable from block states by
-  /// one settle — but carried so the worklist quiescence flags in `sched`
-  /// stay sound after a restore: a skipped block does not rewrite its
+  /// Committed values of the block-driven combinational links (ids
+  /// ascending, values parallel; testbench-read outputs included). Derived state — recomputable from block states by
+  /// one settle — but carried so the activity flags in `sched` stay
+  /// sound after a restore: a skipped block does not rewrite its
   /// outputs, so the restored engine must already hold them. Guarded by
   /// its own digest; excluded from `digest`, which stays the pure
   /// architectural-state witness the differential harnesses compare.
@@ -259,8 +253,8 @@ class Engine {
   /// link (checkpoint restore). The default is a no-op, which is correct
   /// for engines that recompute every link from committed state each
   /// cycle; engines with cross-cycle fast paths that *reuse* link values
-  /// (the worklist quiescence skip) must override so a restored snapshot
-  /// is self-consistent.
+  /// (the compiled schedule's activity gate) must override so a restored
+  /// snapshot is self-consistent.
   virtual void load_link_value(LinkId link, const BitVector& value) {
     (void)link;
     (void)value;
@@ -279,7 +273,7 @@ class Engine {
   /// steps. Does not touch state or link memory.
   virtual void rebase(SystemCycle cycle, DeltaCycle total_deltas) = 0;
 
-  /// Snapshot of the scheduler-canonical bookkeeping (cursor, quiescence
+  /// Snapshot of the scheduler-canonical bookkeeping (cursor, activity
   /// flags) in the engine-agnostic SchedulerCheckpoint encoding. The
   /// default (an empty snapshot) is correct for engines with no dynamic
   /// scheduling state.
@@ -331,21 +325,6 @@ void reset_engine(Engine& eng);
 
 /// Validation for Engine::set_external_input.
 void check_external_input(const SystemModel& model, LinkId link);
-
-/// Degenerate-topology gate for the worklist scheduler, applied at
-/// engine construction and re-checked (per shard) after partitioning.
-/// Rejects, with a structured error instead of a hang at the delta
-/// budget:
-///  - combinational self-loop links (a block reading its own
-///    combinational output), which the event-driven pickup would chase
-///    in a tight requeue loop;
-///  - external-input combinational links with an empty reader set: a
-///    stimulus on such a link is an event that wakes nobody, so the
-///    worklist would silently drop it (check_external_input catches the
-///    drive; this catches the model).
-/// No-op for kRoundRobin (the dense sweep tolerates both shapes, at
-/// delta-budget cost).
-void check_scheduler_topology(const SystemModel& model, SchedulerKind kind);
 
 /// Initial round-robin cursor of a dynamic schedule for `schedule_seed`.
 /// Seed 1 is canonical and maps to cursor 0 (the behaviour of every

@@ -80,6 +80,7 @@ class PipeBlock : public SimBlock {
   bool output_depends_on_input(std::size_t, std::size_t) const override {
     return false;
   }
+  bool outputs_depend_on_state_only() const override { return true; }
 
  private:
   std::size_t width_;

@@ -83,6 +83,7 @@ class RouterBlock : public SimBlock {
   bool output_depends_on_input(std::size_t, std::size_t) const override {
     return false;
   }
+  bool outputs_depend_on_state_only() const override { return true; }
 
   const noc::RouterEnv& env() const { return env_; }
 
@@ -122,8 +123,8 @@ struct EngineOptions {
   /// by the engine contract, only StepStats can move.
   std::uint64_t seed = 1;
   /// Non-stable-block pickup within the dynamic schedule: the dense
-  /// round-robin sweep (reference) or the event-driven worklist with the
-  /// quiescence fast path. Bit-identical results either way.
+  /// round-robin sweep (reference) or the activity-gated compiled
+  /// schedule (kWorklist is its alias). Bit-identical results either way.
   SchedulerKind scheduler = SchedulerKind::kRoundRobin;
 
   friend bool operator==(const EngineOptions&, const EngineOptions&) = default;

@@ -35,7 +35,6 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
                     "static schedule requires registered boundaries (§4.1); "
                     "use kDynamic for combinational boundaries");
   }
-  check_scheduler_topology(model, cfg_.scheduler);
 
   const std::size_t n = model.num_blocks();
   cfg_.num_shards = std::min(cfg_.num_shards, n);
@@ -96,26 +95,39 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
                                       materialize[s]);
     sh->unstable.assign(blocks.size(), 0);
     sh->evaluated.assign(blocks.size(), 0);
-    if (cfg_.scheduler == SchedulerKind::kWorklist) {
-      sh->worklist.reserve(blocks.size());
-      sh->state_fixed.assign(blocks.size(), 0);
-      sh->pending_input.assign(blocks.size(), 0);
-      // Same skippability rule as the sequential engine: every link the
-      // block touches must be combinational (registered banks would rot
-      // behind the pointer flip, and registered inputs change without a
-      // change event).
-      sh->skippable.assign(blocks.size(), 1);
-      for (std::size_t i = 0; i < blocks.size(); ++i) {
-        const BlockInstance& blk = model.block(blocks[i]);
-        for (const LinkId l : blk.input_links) {
-          if (model.link(l).kind != LinkKind::kCombinational) {
-            sh->skippable[i] = 0;
-          }
+    sh->state_fixed.assign(blocks.size(), 0);
+    sh->pending_input.assign(blocks.size(), 0);
+    // A block may skip a cycle only if every link it touches is
+    // combinational: registered banks would rot behind the pointer flip,
+    // and registered inputs change without a change event.
+    sh->skippable.assign(blocks.size(), 1);
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      const BlockInstance& blk = model.block(blocks[i]);
+      for (const LinkId l : blk.input_links) {
+        if (model.link(l).kind != LinkKind::kCombinational) {
+          sh->skippable[i] = 0;
         }
-        for (const LinkId l : blk.output_links) {
-          if (model.link(l).kind != LinkKind::kCombinational) {
-            sh->skippable[i] = 0;
-          }
+      }
+      for (const LinkId l : blk.output_links) {
+        if (model.link(l).kind != LinkKind::kCombinational) {
+          sh->skippable[i] = 0;
+        }
+      }
+    }
+    // Same-shard reader lists, counted then filled (CSR by link id).
+    sh->reader_begin.assign(model.num_links() + 1, 0);
+    for (LinkId l = 0; l < model.num_links(); ++l) {
+      sh->reader_begin[l + 1] = sh->reader_begin[l];
+      for (const Endpoint& r : model.link(l).readers) {
+        sh->reader_begin[l + 1] += part_.shard_of[r.block] == s ? 1 : 0;
+      }
+    }
+    sh->local_readers.resize(sh->reader_begin.back());
+    for (LinkId l = 0; l < model.num_links(); ++l) {
+      std::uint32_t at = sh->reader_begin[l];
+      for (const Endpoint& r : model.link(l).readers) {
+        if (part_.shard_of[r.block] == s) {
+          sh->local_readers[at++] = static_cast<std::uint32_t>(local_of_[r.block]);
         }
       }
     }
@@ -128,20 +140,31 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
                                    : cfg_.schedule_seed + 0x9e37u * (s + 1);
     sh->rr_next = schedule_rr_offset(seed, blocks.size());
     sh->rr_init = sh->rr_next;
-    if (cfg_.scheduler == SchedulerKind::kCompiled &&
+    if (cfg_.scheduler != SchedulerKind::kRoundRobin &&
         cfg_.schedule == SchedulePolicy::kDynamic) {
       // Per-shard static schedule over the link graph restricted to this
-      // shard's membership. Cut links have one endpoint elsewhere, so
-      // they drop out of the tracked set and the emitted order treats
-      // them as registered edges; the superstep loop in cycle_compiled
-      // reconciles them through the mailbox.
-      std::vector<char> member(n, 0);
-      for (const BlockId b : blocks) {
-        member[b] = 1;
-      }
+      // shard's membership (one shard schedules every block, so it needs
+      // no filter). Cut links have one endpoint elsewhere, so they drop
+      // out of the tracked set and the emitted order treats them as
+      // registered edges; the superstep loop in cycle_compiled reconciles
+      // them through the mailbox.
       analysis::StaticScheduleOptions opt;
-      opt.include_blocks = &member;
+      std::vector<char> member;
+      if (k > 1) {
+        member.assign(n, 0);
+        for (const BlockId b : blocks) {
+          member[b] = 1;
+        }
+        opt.include_blocks = &member;
+      }
       sh->compiled.emplace(analysis::build_compiled_schedule(model, opt));
+      sh->program.reserve(sh->compiled->ops.size());
+      for (const analysis::CompiledOp& op : sh->compiled->ops) {
+        sh->program.push_back(
+            {op.kind, op.kind == analysis::CompiledOpKind::kSettle
+                          ? op.scc
+                          : static_cast<std::uint32_t>(local_of_[op.block])});
+      }
     }
     shards_.push_back(std::move(sh));
   }
@@ -162,23 +185,6 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
       }
       subscribed[rs] = 1;
       shards_[rs]->incoming.push_back(InSlot{l, slot, 0, info.kind});
-    }
-    if (cfg_.scheduler == SchedulerKind::kWorklist &&
-        std::none_of(subscribed.begin(), subscribed.end(),
-                     [](char c) { return c != 0; })) {
-      // A mailbox slot with no subscribing shard means the link's reader
-      // set dissolved under partitioning: change events would be
-      // published that no worklist ever receives, and the scheduler
-      // would sit at the delta budget waiting for a wakeup that never
-      // comes. Structurally unreachable today (a link only gets a slot
-      // because some cross-shard reader exists, and that reader's shard
-      // subscribes), but cheap to refuse outright instead of hanging.
-      throw ContextualError(
-          "cut link '" + info.name +
-              "' has an empty reader set after partitioning",
-          {{"link", std::to_string(l)},
-           {"name", info.name},
-           {"scheduler", scheduler_kind_name(cfg_.scheduler)}});
     }
   }
 
@@ -228,10 +234,9 @@ bool ShardedSimulator::write_copies(LinkId link, const BitVector& value) {
 
 void ShardedSimulator::set_external_input(LinkId link, const BitVector& value) {
   check_external_input(model_, link);
-  const bool changed = write_copies(link, value);
-  if (changed && cfg_.scheduler == SchedulerKind::kWorklist) {
-    // Wake the quiescence fast path: the readers have fresh input, so
-    // the next cycle's seeding must not skip them.
+  if (write_copies(link, value)) {
+    // The readers have fresh input: the compiled schedule's activity
+    // gate must not skip them next cycle.
     for (const Endpoint& reader : model_.link(link).readers) {
       shards_[part_.shard_of[reader.block]]
           ->pending_input[local_of_[reader.block]] = 1;
@@ -253,11 +258,9 @@ void ShardedSimulator::load_block_state(BlockId block, const BitVector& value) {
   TMSIM_CHECK_MSG(block < model_.num_blocks(), "block index out of range");
   Shard& sh = *shards_[part_.shard_of[block]];
   sh.state.load_old(local_of_[block], value);
-  if (cfg_.scheduler == SchedulerKind::kWorklist) {
-    // The committed state changed behind the block's back: any cached
-    // fixed-point claim is stale, so force a re-evaluation next cycle.
-    sh.state_fixed[local_of_[block]] = 0;
-  }
+  // The committed state changed behind the block's back: any cached
+  // fixed-point claim is stale, so force a re-evaluation next cycle.
+  sh.state_fixed[local_of_[block]] = 0;
 }
 
 void ShardedSimulator::load_link_value(LinkId link, const BitVector& value) {
@@ -288,15 +291,12 @@ void ShardedSimulator::set_trace_hook(TraceHook hook) {
 
 SchedulerCheckpoint ShardedSimulator::scheduler_checkpoint() const {
   SchedulerCheckpoint s;
-  if (cfg_.scheduler == SchedulerKind::kCompiled) {
-    return s;  // the compiled schedule carries no dynamic state
-  }
   s.rr_cursors.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& sh : shards_) {
     s.rr_cursors.push_back(sh->rr_next);
   }
-  if (cfg_.scheduler == SchedulerKind::kWorklist) {
-    // Scatter the per-shard quiescence flags back to model block order so
+  if (activity_gated()) {
+    // Scatter the per-shard activity flags back to model block order so
     // the snapshot is partition-independent.
     s.state_fixed.assign(model_.num_blocks(), 0);
     s.pending_input.assign(model_.num_blocks(), 0);
@@ -327,7 +327,7 @@ void ShardedSimulator::restore_scheduler_state(
     sh.rr_next = (cursors_ok && ln > 0 && sched.rr_cursors[si] < ln)
                      ? sched.rr_cursors[si]
                      : sh.rr_init;
-    if (cfg_.scheduler == SchedulerKind::kWorklist) {
+    if (activity_gated()) {
       for (std::size_t i = 0; i < ln; ++i) {
         sh.state_fixed[i] = flags_ok ? sched.state_fixed[sh.blocks[i]] : 0;
         sh.pending_input[i] = flags_ok ? sched.pending_input[sh.blocks[i]] : 0;
@@ -407,16 +407,14 @@ StepStats ShardedSimulator::step() {
     total.link_changes += sh->stats.link_changes;
     total.cut_publishes += sh->stats.cut_publishes;
     total.barrier_spins += sh->stats.barrier_spins;
-    total.skipped_blocks += sh->stats.skipped_blocks;
-    total.worklist_high_water =
-        std::max(total.worklist_high_water, sh->stats.worklist_high_water);
     first_evals += sh->first_evals;
   }
   // Explicit first-evaluation accounting, identical under every schedule
   // and scheduler: re-evaluations are delta cycles beyond each block's
-  // first. (The old derivation num_blocks - skipped_blocks underflowed
-  // when a cycle was abandoned before every block had evaluated.)
+  // first, and every block without a first evaluation was skipped — so
+  // skipped_blocks + first evaluations == num_blocks, every cycle.
   total.re_evaluations = total.delta_cycles - first_evals;
+  total.skipped_blocks = model_.num_blocks() - first_evals;
   // Every shard executes the same number of barrier-aligned supersteps.
   total.settle_rounds = shards_[0]->supersteps;
   total_delta_cycles_ += total.delta_cycles;
@@ -481,33 +479,22 @@ void ShardedSimulator::cycle_static(Shard& sh) {
 }
 
 void ShardedSimulator::cycle_dynamic(Shard& sh) {
-  if (cfg_.scheduler == SchedulerKind::kCompiled) {
+  if (sh.compiled) {
     cycle_compiled(sh);
     return;
   }
-  const bool worklist = cfg_.scheduler == SchedulerKind::kWorklist;
-  if (worklist) {
-    guarded(sh, [&] { seed_worklist_cycle(sh); });
-  } else {
-    guarded(sh, [&] {
-      sh.links.reset_all_hbr();
-      std::fill(sh.unstable.begin(), sh.unstable.end(), 1);
-      sh.unstable_count = sh.blocks.size();
-    });
-  }
+  guarded(sh, [&] {
+    sh.links.reset_all_hbr();
+    std::fill(sh.unstable.begin(), sh.unstable.end(), 1);
+    sh.unstable_count = sh.blocks.size();
+  });
   // Belt-and-braces superstep cap: the per-shard evaluation budget in
   // settle_local() already guarantees termination (an oscillation keeps
   // at least one shard evaluating every round), this bounds rounds too.
   const std::size_t superstep_cap =
       cfg_.max_evals_per_block * model_.num_blocks();
   while (true) {
-    guarded(sh, [&] {
-      if (worklist) {
-        settle_local_worklist(sh);
-      } else {
-        settle_local(sh);
-      }
-    });
+    guarded(sh, [&] { settle_local(sh); });
     if (sh.supersteps >= superstep_cap) {
       diverge(sh, cfg_.max_evals_per_block * sh.blocks.size());
     }
@@ -516,61 +503,6 @@ void ShardedSimulator::cycle_dynamic(Shard& sh) {
       return;
     }
   }
-}
-
-void ShardedSimulator::seed_worklist_cycle(Shard& sh) {
-  // Worklist analogue of the dense cycle seeding: instead of marking
-  // every block unstable, a block whose links are all combinational,
-  // whose last committed evaluation was a state fixed point, and whose
-  // inputs carry no pending activity is *skipped* — its old-bank word is
-  // carried over so the end-of-cycle bank flip cannot rot it, and it is
-  // never pushed. A skipped block is still woken mid-cycle the moment
-  // any input changes (destabilize_local pushes it), so the fixed point
-  // reached is the same one the dense sweep reaches — the quiescence
-  // fast path only elides evaluations whose outputs are already final.
-  sh.links.reset_all_hbr();
-  sh.worklist.clear();
-  sh.wl_head = 0;
-  sh.unstable_count = 0;
-  const std::size_t ln = sh.blocks.size();
-  for (std::size_t i = 0; i < ln; ++i) {
-    if (sh.skippable[i] && sh.state_fixed[i] && !sh.pending_input[i]) {
-      sh.state.carry_over(i);
-      ++sh.stats.skipped_blocks;
-      sh.unstable[i] = 0;
-    } else {
-      sh.unstable[i] = 1;
-      ++sh.unstable_count;
-      sh.worklist.push_back(i);
-    }
-  }
-  sh.stats.worklist_high_water = std::max(
-      sh.stats.worklist_high_water,
-      static_cast<std::uint64_t>(sh.worklist.size()));
-}
-
-void ShardedSimulator::settle_local_worklist(Shard& sh) {
-  // Phase A under kWorklist: drain the FIFO instead of scanning the
-  // unstable bitmap. The invariant "flag set <=> on the unconsumed part
-  // of the FIFO" is maintained by seed_worklist_cycle and
-  // destabilize_local, so pickup is O(1) with no dense scan. The
-  // sequential engine's self-loop recheck is omitted: combinational
-  // self-loops are rejected at construction (check_scheduler_topology).
-  const DeltaCycle budget = cfg_.max_evals_per_block * sh.blocks.size();
-  while (sh.wl_head < sh.worklist.size()) {
-    const std::size_t i = sh.worklist[sh.wl_head++];
-    sh.unstable[i] = 0;
-    --sh.unstable_count;
-    evaluate_block(sh, i);
-    if (sh.stats.delta_cycles > budget) {
-      diverge(sh, budget);
-      return;
-    }
-  }
-  // Fully drained: recycle the storage so the FIFO never grows beyond
-  // the cycle's event count (phase B refills it for the next superstep).
-  sh.worklist.clear();
-  sh.wl_head = 0;
 }
 
 void ShardedSimulator::cycle_two_phase(Shard& sh) {
@@ -595,14 +527,15 @@ void ShardedSimulator::cycle_two_phase(Shard& sh) {
 
 void ShardedSimulator::cycle_compiled(Shard& sh) {
   // Compiled superstep loop: each phase A replays the shard's build-time
-  // schedule in full against the latest replica values — no HBR bits, no
+  // schedule against the latest replica values — no HBR bits, no
   // per-block destabilization across the cut. Phase B's deliveries mark
-  // readers unstable purely so barrier 2 can agree on "someone received
-  // a changed cut value"; the next phase A clears the bits and re-runs
-  // everything. Cross-shard combinational chains converge in one extra
-  // superstep per cut depth (a block-Jacobi sweep toward the same unique
-  // fixed point the sequential schedule reaches); a genuinely oscillating
-  // cross-shard loop ping-pongs to the superstep cap and diverges.
+  // readers unstable so barrier 2 can agree on "someone received a
+  // changed cut value", and mark their pending input so the next phase
+  // A's activity gate re-runs exactly them and what they change.
+  // Cross-shard combinational chains converge in one extra superstep per
+  // cut depth (a block-Jacobi sweep toward the same unique fixed point
+  // the sequential schedule reaches); a genuinely oscillating cross-shard
+  // loop ping-pongs to the superstep cap and diverges.
   const std::size_t superstep_cap =
       cfg_.max_evals_per_block * model_.num_blocks();
   while (true) {
@@ -622,17 +555,37 @@ void ShardedSimulator::cycle_compiled(Shard& sh) {
 }
 
 void ShardedSimulator::run_compiled_schedule(Shard& sh) {
-  for (const analysis::CompiledOp& op : sh.compiled->ops) {
+  // kEval and kDrive run identically at execution time (the split only
+  // matters for the emission proof, see static_schedule.h), and both are
+  // gated on activity. An evaluation is a pure function of the block's
+  // committed state and its inputs, and its effects — outputs and the
+  // new state slot — stay in place until the block itself evaluates
+  // again. So with no input change since the block's last evaluation,
+  // an op may be skipped when
+  //  (a) that evaluation happened this cycle: it would be reproduced
+  //      exactly (a kEval after its kDrive, a replay superstep); or
+  //  (b) the block touches combinational links only and that evaluation
+  //      mapped its state onto itself: last cycle's outputs are still on
+  //      the links, and carrying the state over commits the same state.
+  for (const LocalOp& op : sh.program) {
     if (op.kind == analysis::CompiledOpKind::kSettle) {
-      settle_scc_local(sh, op.scc);
+      settle_scc_local(sh, op.index);
       if (sh.diverged) {
         return;
       }
-    } else {
-      // kEval and kDrive run identically at execution time; the split
-      // only matters for the emission proof (see static_schedule.h).
-      evaluate_block(sh, local_of_[op.block]);
+      continue;
     }
+    const std::size_t i = op.index;
+    if (!sh.pending_input[i]) {
+      if (sh.evaluated[i]) {
+        continue;
+      }
+      if (sh.skippable[i] && sh.state_fixed[i]) {
+        sh.state.carry_over(i);
+        continue;
+      }
+    }
+    evaluate_block(sh, i);
   }
 }
 
@@ -743,7 +696,7 @@ void ShardedSimulator::settle_local(Shard& sh) {
     // Self-loop safety, as in the sequential engine: re-check the HBR
     // bits directly so a bookkeeping bug cannot end a cycle early.
     if (sh.unstable[i] == 0 && !inputs_all_read(sh, sh.blocks[i])) {
-      destabilize_local(sh, sh.blocks[i]);
+      destabilize_local(sh, i);
     }
     if (sh.stats.delta_cycles > budget) {
       diverge(sh, budget);
@@ -763,14 +716,13 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local,
   // Under the compiled schedule the op order already guarantees every
   // input a committing evaluation consumes is final: no HBR marks and no
   // same-shard destabilization (which would keep unstable_count nonzero
-  // forever), except the scoped wakeups inside a settling SCC.
+  // forever), except the scoped wakeups inside a settling SCC. Changed
+  // writes only mark their readers' pending input for the activity gate.
   const bool hbr = !sh.compiled;
-  if (cfg_.scheduler == SchedulerKind::kWorklist) {
-    // Everything pending is consumed by this evaluation; activity that
-    // arrives later (same-shard writes below, phase B deliveries,
-    // external inputs) re-marks it.
-    sh.pending_input[local] = 0;
-  }
+  // Everything pending is consumed by this evaluation; activity that
+  // arrives later (same-shard writes below, phase B deliveries, external
+  // inputs) re-marks it.
+  sh.pending_input[local] = 0;
   const BlockId b = sh.blocks[local];
   const BlockInstance& blk = model_.block(b);
   const SimBlock& logic = *blk.logic;
@@ -808,10 +760,10 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local,
                        sh.state.new_slot(local),
                        std::span<BitVector>(sh.out_scratch.data(), n_out));
 
-  if (cfg_.scheduler == SchedulerKind::kWorklist) {
+  if (!hbr && sh.skippable[local]) {
     // State fixed point: a pure evaluation that mapped old == new will
     // reproduce this exact evaluation as long as the inputs stay put —
-    // the precondition the quiescence fast path relies on.
+    // the precondition of the activity gate's cross-cycle skip.
     sh.state_fixed[local] = sh.state.new_equals_old(local) ? 1 : 0;
   }
 
@@ -830,12 +782,17 @@ void ShardedSimulator::evaluate_block(Shard& sh, std::size_t local,
         //  status bit to zero" — destabilizing the reader. Same-shard
         //  readers at once, cross-shard ones at their next exchange.
         sh.links.clear_hbr(l);
-        for (const Endpoint& reader : model_.link(l).readers) {
-          if (part_.shard_of[reader.block] == sh.index) {
-            destabilize_local(sh, reader.block);
-          }
+        for (std::uint32_t k = sh.reader_begin[l]; k < sh.reader_begin[l + 1];
+             ++k) {
+          destabilize_local(sh, sh.local_readers[k]);
         }
-      } else if (ctx && sh.compiled->scc_of_link[l] == ctx->scc_id) {
+      } else {
+        for (std::uint32_t k = sh.reader_begin[l]; k < sh.reader_begin[l + 1];
+             ++k) {
+          sh.pending_input[sh.local_readers[k]] = 1;
+        }
+      }
+      if (ctx && sh.compiled->scc_of_link[l] == ctx->scc_id) {
         // Intra-SCC edge changed mid-settle: wake the (single) reader.
         const BlockId r = model_.link(l).readers.front().block;
         const auto it = std::lower_bound(ctx->scc->blocks.begin(),
@@ -881,33 +838,19 @@ void ShardedSimulator::apply_incoming(Shard& sh) {
       // one superstep late. link_changes was already counted by the
       // writing shard — don't double count here.
       sh.links.clear_hbr(in.link);
-      for (const Endpoint& reader : model_.link(in.link).readers) {
-        if (part_.shard_of[reader.block] == sh.index) {
-          destabilize_local(sh, reader.block);
-        }
+      for (std::uint32_t k = sh.reader_begin[in.link];
+           k < sh.reader_begin[in.link + 1]; ++k) {
+        destabilize_local(sh, sh.local_readers[k]);
       }
     }
   }
 }
 
-void ShardedSimulator::destabilize_local(Shard& sh, BlockId global) {
-  const std::size_t i = local_of_[global];
-  if (cfg_.scheduler == SchedulerKind::kWorklist) {
-    sh.pending_input[i] = 1;
-  }
-  if (sh.unstable[i] == 0) {
-    sh.unstable[i] = 1;
+void ShardedSimulator::destabilize_local(Shard& sh, std::size_t local) {
+  sh.pending_input[local] = 1;
+  if (sh.unstable[local] == 0) {
+    sh.unstable[local] = 1;
     ++sh.unstable_count;
-    if (cfg_.scheduler == SchedulerKind::kWorklist &&
-        cfg_.schedule == SchedulePolicy::kDynamic) {
-      // Push iff the flag transitioned — `unstable` doubles as the
-      // FIFO's dedup guard. Gated on kDynamic: the other schedules never
-      // drain the worklist, so pushing would leak entries across cycles.
-      sh.worklist.push_back(i);
-      sh.stats.worklist_high_water =
-          std::max(sh.stats.worklist_high_water,
-                   static_cast<std::uint64_t>(sh.worklist.size() - sh.wl_head));
-    }
   }
 }
 

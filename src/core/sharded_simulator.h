@@ -16,11 +16,14 @@
 //    previous-cycle values from the old bank. Exactly num_blocks delta
 //    cycles per system cycle.
 //  - kDynamic (§4.2, Fig. 5): the paper's method for combinational
-//    boundaries. All HBR bits are cleared at the start of the system
-//    cycle (so every block is evaluated at least once); the scheduler
-//    evaluates non-stable blocks; writing a *changed* value to a link
-//    clears its HBR bit and destabilizes its reader; the cycle ends when
-//    all blocks are stable.
+//    boundaries. Under the kRoundRobin scheduler all HBR bits are
+//    cleared at the start of the system cycle (so every block is
+//    evaluated at least once); the scheduler evaluates non-stable
+//    blocks; writing a *changed* value to a link clears its HBR bit and
+//    destabilizes its reader; the cycle ends when all blocks are stable.
+//    Under kCompiled (and its alias kWorklist) each shard instead replays
+//    a build-time op list, gated on block activity (see
+//    run_compiled_schedule).
 //  - kTwoPhaseOracle: an ablation, not in the paper, for designs whose
 //    outputs depend on registered state only (the case-study router):
 //    pass 1 publishes every output, pass 2 re-evaluates every block with
@@ -102,12 +105,12 @@ struct ShardedConfig {
   /// change StepStats.
   std::uint64_t schedule_seed = 1;
   /// Non-stable-block pickup within phase A of each superstep:
-  /// kRoundRobin is the dense §4.2 sweep, kWorklist the event-driven
-  /// scheduler with the quiescence fast path, kCompiled a per-shard
-  /// build-time static schedule (cut links are treated as registered
-  /// edges: each superstep re-runs the full shard schedule against the
-  /// latest replica values until the exchange reports quiescence).
-  /// Bit-identical results in every case; only StepStats may differ.
+  /// kRoundRobin is the dense §4.2 sweep; kCompiled (kWorklist is an
+  /// alias) a per-shard build-time static schedule gated on block
+  /// activity (cut links are treated as registered edges: each superstep
+  /// replays the shard schedule against the latest replica values until
+  /// the exchange reports quiescence). Bit-identical results in every
+  /// case; only StepStats may differ.
   SchedulerKind scheduler = SchedulerKind::kRoundRobin;
 };
 
@@ -164,6 +167,13 @@ class ShardedSimulator : public Engine {
     LinkKind kind = LinkKind::kCombinational;
   };
 
+  /// A compiled op with its block as a shard-local index (kEval,
+  /// kDrive) or its SCC index (kSettle).
+  struct LocalOp {
+    analysis::CompiledOpKind kind;
+    std::uint32_t index;
+  };
+
   struct Shard {
     std::size_t index = 0;
     std::vector<BlockId> blocks;      // global ids
@@ -171,8 +181,7 @@ class ShardedSimulator : public Engine {
     LinkMemory links;                 // global LinkIds, subset-materialized
     std::vector<InSlot> incoming;     // cut links read by this shard
 
-    // Dynamic-schedule bookkeeping (local block indices). `unstable`
-    // doubles as the worklist's dedup flag under kWorklist.
+    // Dynamic-schedule bookkeeping (local block indices).
     std::vector<char> unstable;
     std::size_t unstable_count = 0;
     std::size_t rr_next = 0;
@@ -184,21 +193,24 @@ class ShardedSimulator : public Engine {
     std::vector<char> evaluated;
     std::size_t first_evals = 0;
 
+    // Same-shard readers of every link, as local indices (CSR: link l's
+    // readers are local_readers[reader_begin[l] .. reader_begin[l+1])).
+    std::vector<std::uint32_t> reader_begin;
+    std::vector<std::uint32_t> local_readers;
+
     // Per-shard build-time schedule (kCompiled only): the model's link
     // graph restricted to this shard's blocks. Cut links fall out of the
     // tracked set (one endpoint is elsewhere), so the schedule treats
     // them exactly like registered edges — pre-final for the superstep.
+    // `program` is its op list with blocks as local indices.
     std::optional<analysis::CompiledSchedule> compiled;
+    std::vector<LocalOp> program;
     std::vector<char> scc_unstable;  // scratch, sized per settling SCC
 
-    // Worklist-scheduler bookkeeping (local indices; empty under
-    // kRoundRobin). The FIFO persists across the cycle's supersteps:
-    // phase B pushes cross-shard events onto it for the next phase A.
-    std::vector<std::size_t> worklist;  // consumed prefix [0, wl_head)
-    std::size_t wl_head = 0;
-    std::vector<char> skippable;        // static: all links combinational
-    std::vector<char> state_fixed;      // last committed eval: old == new
-    std::vector<char> pending_input;    // input changed since last eval
+    // Activity flags of the compiled schedule (local indices).
+    std::vector<char> skippable;      // static: all links combinational
+    std::vector<char> state_fixed;    // last committed eval: old == new
+    std::vector<char> pending_input;  // input changed since last eval
 
     // Per-cycle outcome, read by the coordinator after the final barrier.
     StepStats stats;
@@ -248,11 +260,9 @@ class ShardedSimulator : public Engine {
   void run_compiled_schedule(Shard& sh);
   void settle_scc_local(Shard& sh, std::uint32_t scc_index);
   void settle_local(Shard& sh);
-  void settle_local_worklist(Shard& sh);
-  void seed_worklist_cycle(Shard& sh);
   void evaluate_all_local(Shard& sh);
   void apply_incoming(Shard& sh);
-  void destabilize_local(Shard& sh, BlockId global);
+  void destabilize_local(Shard& sh, std::size_t local);
   bool inputs_all_read(const Shard& sh, BlockId global) const;
   bool write_copies(LinkId link, const BitVector& value);
   void diverge(Shard& sh, DeltaCycle limit);
@@ -263,6 +273,8 @@ class ShardedSimulator : public Engine {
   /// failure after the evaluation phase, then exchange and agree on
   /// global instability. Returns false when the cycle must be abandoned.
   bool exchange_round(Shard& sh);
+  /// True when the compiled schedule (with its activity flags) runs.
+  bool activity_gated() const { return shards_.front()->compiled.has_value(); }
 
   friend class ShardedSimulatorTestPeer;
 

@@ -89,10 +89,10 @@ class SimBlock {
   /// mismatch.
   virtual void decode_state(const BitVector& word, BlockState& s) const;
 
-  /// `to` := `from` (same block type; the worklist's carry-over).
+  /// `to` := `from` (same block type; the activity gate's carry-over).
   virtual void copy_state(const BlockState& from, BlockState& to) const;
 
-  /// True exactly when encode(a) == encode(b) — the worklist's
+  /// True exactly when encode(a) == encode(b) — the activity gate's
   /// fixed-point witness relies on that equivalence to skip blocks.
   virtual bool state_equals(const BlockState& a, const BlockState& b) const;
 
@@ -122,6 +122,11 @@ class SimBlock {
     (void)in;
     return true;
   }
+
+  /// True when output_depends_on_input is false for every port pair, so
+  /// the static-schedule pass can skip the per-port queries (one virtual
+  /// call per input × output port adds up on a large mesh).
+  virtual bool outputs_depend_on_state_only() const { return false; }
 };
 
 }  // namespace tmsim::core

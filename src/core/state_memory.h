@@ -58,7 +58,7 @@ class StateMemory {
   }
 
   /// new == old for block b, in the block's own (encoding-exact)
-  /// equality — the worklist scheduler's fixed-point witness.
+  /// equality — the activity gate's fixed-point witness.
   bool new_equals_old(std::size_t block) const {
     const std::size_t b = check_block(block);
     return logic_[b]->state_equals(*states_[new_offset() + b],
@@ -66,7 +66,7 @@ class StateMemory {
   }
 
   /// Copies block b's old-bank state into its new-bank slot — what the
-  /// worklist scheduler's quiescence fast path does instead of a full
+  /// compiled schedule's activity gate does instead of a full
   /// evaluation, so the global bank swap cannot rot a skipped block's
   /// state. A field copy, far cheaper than any real block's evaluation.
   void carry_over(std::size_t block) {

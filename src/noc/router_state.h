@@ -71,8 +71,8 @@ struct RouterState {
   /// occupancy (so a full queue differs from an empty one at rd == wr),
   /// locks with their out_port even while unlocked, output-VC state and
   /// arbiter pointers. For states the codec accepts, a == b exactly when
-  /// serialize(a) == serialize(b) — the engines' worklist skips blocks
-  /// on this answer.
+  /// serialize(a) == serialize(b) — the engine's activity gate skips
+  /// blocks on this answer.
   friend bool operator==(const RouterState&, const RouterState&) = default;
 };
 

@@ -20,13 +20,11 @@ EngineMetricsSink::EngineMetricsSink(MetricsRegistry& registry)
       barrier_spins_(registry.counter("engine.barrier_spins")),
       supersteps_(registry.counter("engine.supersteps")),
       convergence_failures_(registry.counter("engine.convergence_failures")),
-      // Worklist-scheduler rows (DESIGN.md §12). delta_evals mirrors
+      // Scheduler rows (DESIGN.md §17). delta_evals mirrors
       // engine.delta_cycles under a scheduler-specific name so sched
       // dashboards read evals vs skips side by side.
       sched_delta_evals_(registry.counter("engine.sched.delta_evals")),
       sched_skipped_blocks_(registry.counter("engine.sched.skipped_blocks")),
-      sched_worklist_high_water_(
-          registry.gauge("engine.sched.worklist_high_water")),
       // Per-cycle delta cycles: bins of 1, up to 256 per cycle before
       // the overflow bin — generous for §6-scale workloads.
       deltas_per_cycle_(registry.histogram("engine.deltas_per_cycle", 1.0, 256)),
@@ -44,11 +42,6 @@ void EngineMetricsSink::on_cycle_commit(const core::Engine& eng,
   supersteps_.add(stats.settle_rounds);
   sched_delta_evals_.add(stats.delta_cycles);
   sched_skipped_blocks_.add(stats.skipped_blocks);
-  if (stats.worklist_high_water > worklist_high_water_max_) {
-    worklist_high_water_max_ = stats.worklist_high_water;
-    sched_worklist_high_water_.set(
-        static_cast<double>(worklist_high_water_max_));
-  }
   deltas_per_cycle_.observe(static_cast<double>(stats.delta_cycles));
   settle_rounds_.observe(static_cast<double>(stats.settle_rounds));
 }

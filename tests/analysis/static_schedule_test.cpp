@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/example_blocks.h"
+#include "core/noc_block.h"
 #include "core/system_model.h"
 
 namespace tmsim::analysis {
@@ -154,6 +155,30 @@ TEST(StaticSchedule, SameModelBuildsByteIdenticalSchedules) {
     EXPECT_EQ(s1.ops[i].scc, s2.ops[i].scc);
   }
   EXPECT_EQ(s1.scc_of_link, s2.scc_of_link);
+}
+
+TEST(StaticSchedule, StateOnlyHintAgreesWithThePortQueries) {
+  // The pass skips the per-port queries of blocks that claim their
+  // outputs depend on state only; the claim must match those queries.
+  noc::NetworkConfig net;
+  net.width = 2;
+  net.height = 2;
+  const core::NocModel noc = core::build_noc_model(net);
+  const PipeBlock pipe(8, 1);
+  std::vector<const core::SimBlock*> blocks = {&pipe};
+  for (BlockId b = 0; b < noc.model.num_blocks(); ++b) {
+    blocks.push_back(noc.model.block(b).logic.get());
+  }
+  for (const core::SimBlock* blk : blocks) {
+    SCOPED_TRACE(blk->type_name());
+    EXPECT_TRUE(blk->outputs_depend_on_state_only());
+    for (std::size_t q = 0; q < blk->num_outputs(); ++q) {
+      for (std::size_t p = 0; p < blk->num_inputs(); ++p) {
+        EXPECT_FALSE(blk->output_depends_on_input(q, p));
+      }
+    }
+  }
+  EXPECT_FALSE(CombAdderBlock(8, 1).outputs_depend_on_state_only());
 }
 
 TEST(StaticSchedule, PipeRingNeedsExactlyOneDrive) {

@@ -149,7 +149,7 @@ TEST(EngineCheckpoint, ResetEngineReturnsToPowerOn) {
 // Scheduler-state checkpointing (DESIGN.md §17): a farm-preempted
 // session resumed on a different engine instance must replay not just
 // bit-identical results but the identical *StepStats stream* — cursor
-// positions and quiescence flags ride in the checkpoint. The diff below
+// positions and activity flags ride in the checkpoint. The diff below
 // is over full per-cycle stats, not digests: digests can agree while the
 // schedules did different amounts of work.
 // ---------------------------------------------------------------------------
@@ -174,18 +174,21 @@ std::vector<StepStats> drive_recording(Engine& sim, const PipeChain& chain,
 
 TEST(SchedulerCheckpoint, SequentialStatsStreamSurvivesPreemption) {
   for (const SchedulerKind kind :
-       {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
-        SchedulerKind::kCompiled}) {
+       {SchedulerKind::kRoundRobin, SchedulerKind::kCompiled}) {
     SCOPED_TRACE(scheduler_kind_name(kind));
     PipeChain a_chain;
     ShardedSimulator a(a_chain.model, {.scheduler = kind});
     drive_recording(a, a_chain, 9, stimulus);
     const EngineCheckpoint ck = save_checkpoint(a);
+    // Only the compiled schedule has activity flags to carry.
+    EXPECT_EQ(ck.sched.state_fixed.size(),
+              kind == SchedulerKind::kCompiled ? a_chain.model.num_blocks()
+                                               : 0u);
     const std::vector<StepStats> ref =
         drive_recording(a, a_chain, 8, stimulus);
 
     // The resumed-onto engine first ran a different workload, so its
-    // cursor, quiescence flags, and link values are all foreign.
+    // cursor, activity flags, and link values are all foreign.
     PipeChain b_chain;
     ShardedSimulator b(b_chain.model, {.scheduler = kind});
     drive_recording(b, b_chain, 5, other_stimulus);
@@ -204,8 +207,7 @@ TEST(SchedulerCheckpoint, SequentialStatsStreamSurvivesPreemption) {
 
 TEST(SchedulerCheckpoint, ShardedStatsStreamSurvivesPreemption) {
   for (const SchedulerKind kind :
-       {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
-        SchedulerKind::kCompiled}) {
+       {SchedulerKind::kRoundRobin, SchedulerKind::kCompiled}) {
     SCOPED_TRACE(scheduler_kind_name(kind));
     ShardedConfig cfg;
     cfg.num_shards = 2;
@@ -214,6 +216,10 @@ TEST(SchedulerCheckpoint, ShardedStatsStreamSurvivesPreemption) {
     ShardedSimulator a(a_chain.model, cfg);
     drive_recording(a, a_chain, 9, stimulus);
     const EngineCheckpoint ck = save_checkpoint(a);
+    // Only the compiled schedule has activity flags to carry.
+    EXPECT_EQ(ck.sched.state_fixed.size(),
+              kind == SchedulerKind::kCompiled ? a_chain.model.num_blocks()
+                                               : 0u);
     const std::vector<StepStats> ref =
         drive_recording(a, a_chain, 8, stimulus);
 
@@ -236,8 +242,6 @@ TEST(SchedulerCheckpoint, ShardedStatsStreamSurvivesPreemption) {
       EXPECT_EQ(got[i].skipped_blocks, ref[i].skipped_blocks)
           << "cycle " << i;
       EXPECT_EQ(got[i].settle_rounds, ref[i].settle_rounds) << "cycle " << i;
-      EXPECT_EQ(got[i].worklist_high_water, ref[i].worklist_high_water)
-          << "cycle " << i;
     }
     EXPECT_EQ(engine_state_digest(b), engine_state_digest(a));
   }
@@ -245,7 +249,7 @@ TEST(SchedulerCheckpoint, ShardedStatsStreamSurvivesPreemption) {
 
 TEST(SchedulerCheckpoint, TamperedLinkSnapshotIsRejected) {
   PipeChain chain;
-  ShardedSimulator sim(chain.model, {.scheduler = SchedulerKind::kWorklist});
+  ShardedSimulator sim(chain.model, {.scheduler = SchedulerKind::kCompiled});
   drive(sim, chain, 5);
   EngineCheckpoint ck = save_checkpoint(sim);
   ASSERT_FALSE(ck.link_ids.empty());
@@ -258,17 +262,17 @@ TEST(SchedulerCheckpoint, LegacyCheckpointWithoutSnapshotCanonicalizes) {
   // restore like a power-on engine at that state: accepted, and the
   // scheduler starts from canonical cursors/flags.
   PipeChain chain;
-  ShardedSimulator sim(chain.model, {.scheduler = SchedulerKind::kWorklist});
+  ShardedSimulator sim(chain.model, {.scheduler = SchedulerKind::kCompiled});
   drive(sim, chain, 6);
   EngineCheckpoint ck = save_checkpoint(sim);
   ck.link_ids.clear();
   ck.link_values.clear();
   ck.link_digest = 0;
   ck.sched = SchedulerCheckpoint{};
-  ShardedSimulator fresh(chain.model, {.scheduler = SchedulerKind::kWorklist});
+  ShardedSimulator fresh(chain.model, {.scheduler = SchedulerKind::kCompiled});
   restore_checkpoint(fresh, ck);  // must not throw
   EXPECT_EQ(fresh.cycle(), 6u);
-  // Without restored link values the quiescence flags were cleared, so
+  // Without restored link values the activity flags were cleared, so
   // the first resumed cycle re-evaluates everything — and results stay
   // bit-identical to the uninterrupted run.
   drive(sim, chain, 4);

@@ -370,14 +370,13 @@ TEST(DynamicSchedule, IdleNetworkCostsExactlyOnePassPerCycle) {
 }
 
 TEST(DynamicSchedule, WorklistSkipsAnIdleNetworkEntirely) {
-  // The worklist scheduler's quiescence fast path goes one step
-  // further: with every block at a state fixed point and no pending
-  // input activity, an idle cycle evaluates *nothing*.
+  // The compiled schedule's activity gate (kWorklist is its alias) goes
+  // one step further: with every block at a state fixed point and no
+  // pending input activity, an idle cycle evaluates *nothing*.
   CombChain chain;
-  ShardedSimulator sim(chain.m, {.scheduler = SchedulerKind::kWorklist});
+  ShardedSimulator sim(chain.m, {.scheduler = SchedulerKind::kCompiled});
   sim.set_external_input(chain.in, val(8, 10));
   sim.step();  // settling cycle
-  sim.step();  // pending flags from the settling cycle's changes drain
   for (int cycle = 0; cycle < 5; ++cycle) {
     const StepStats st = sim.step();
     EXPECT_EQ(st.delta_cycles, 0u) << "cycle " << cycle;
@@ -602,28 +601,22 @@ TEST(SchedulerStats, ReEvaluationsPinnedPerSchedulerOnReverseChain) {
   EXPECT_EQ(st.delta_cycles, 3u);
   EXPECT_EQ(st.re_evaluations, 0u);
 
-  // Worklist: same first-cycle work, then the quiescence fast path
-  // skips the whole chain.
-  ShardedSimulator wl(chain.model, {.scheduler = SchedulerKind::kWorklist});
-  st = wl.step();
-  EXPECT_EQ(st.delta_cycles, 6u);
-  EXPECT_EQ(st.re_evaluations, 3u);
-  st = wl.step();
-  EXPECT_EQ(st.delta_cycles, 0u);
-  EXPECT_EQ(st.re_evaluations, 0u);
-  EXPECT_EQ(st.skipped_blocks, 3u);
-
-  // Compiled: topological order, every cycle — no re-evaluations ever.
+  // Compiled: topological order, so no re-evaluations ever; once the
+  // chain sits at its fixed point the activity gate skips all of it.
   ShardedSimulator cp(chain.model, {.scheduler = SchedulerKind::kCompiled});
+  st = cp.step();
+  EXPECT_EQ(st.delta_cycles, 3u);
+  EXPECT_EQ(st.re_evaluations, 0u);
+  EXPECT_EQ(st.skipped_blocks, 0u);
   for (int i = 0; i < 3; ++i) {
     st = cp.step();
-    EXPECT_EQ(st.delta_cycles, 3u) << "cycle " << i;
+    EXPECT_EQ(st.delta_cycles, 0u) << "cycle " << i;
     EXPECT_EQ(st.re_evaluations, 0u) << "cycle " << i;
+    EXPECT_EQ(st.skipped_blocks, 3u) << "cycle " << i;
   }
 
-  // All three reach the same fixed point, naturally.
+  // Both reach the same fixed point, naturally.
   for (const LinkId l : {chain.l2, chain.l1, chain.out}) {
-    EXPECT_EQ(rr.link_value(l), wl.link_value(l));
     EXPECT_EQ(rr.link_value(l), cp.link_value(l));
   }
 
@@ -634,6 +627,69 @@ TEST(SchedulerStats, ReEvaluationsPinnedPerSchedulerOnReverseChain) {
   st = tp.step();
   EXPECT_EQ(st.delta_cycles, 6u);
   EXPECT_EQ(st.re_evaluations, 3u);
+}
+
+TEST(SchedulerStats, DrivenBlockWithUnchangedInputsSkipsItsEval) {
+  // A PipeRing with addend 0 rotates the states around the ring. Its
+  // compiled schedule drives P2 early (it closes the read cycle), then
+  // commits P0, P1 and P2 in order. P2's kEval re-runs it only when P1's
+  // output — P2's one input — changed after the drive read it.
+  SystemModel rotating;
+  std::vector<BlockId> blocks;
+  std::vector<LinkId> links;
+  const std::uint64_t resets[] = {5, 5, 9};
+  for (std::size_t i = 0; i < 3; ++i) {
+    blocks.push_back(
+        rotating.add_block(std::make_shared<PipeBlock>(16, 0, resets[i]),
+                           "P" + std::to_string(i)));
+    links.push_back(rotating.add_link("L" + std::to_string(i), 16,
+                                      LinkKind::kCombinational));
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    rotating.bind_output(blocks[i], 0, links[i]);
+    rotating.bind_input(blocks[(i + 1) % 3], 0, links[i]);
+  }
+  rotating.finalize();
+
+  ShardedSimulator cp(rotating, {.scheduler = SchedulerKind::kCompiled});
+  ShardedSimulator rr(rotating, {});
+  const analysis::CompiledSchedule* sched = cp.compiled_schedule(0);
+  ASSERT_NE(sched, nullptr);
+  ASSERT_EQ(sched->ops.size(), 4u);
+  EXPECT_EQ(sched->ops[0].kind, analysis::CompiledOpKind::kDrive);
+  EXPECT_EQ(sched->ops[0].block, blocks[2]);
+  EXPECT_EQ(sched->ops[3].kind, analysis::CompiledOpKind::kEval);
+  EXPECT_EQ(sched->ops[3].block, blocks[2]);
+
+  std::vector<BlockId> order;
+  cp.set_trace_hook(
+      [&](SystemCycle, DeltaCycle, BlockId b) { order.push_back(b); });
+  // States per cycle start: (5,5,9) (9,5,5) (5,9,5) (5,5,9) ...
+  const std::vector<std::vector<BlockId>> expected = {
+      // Cycle 0: links start at 0, so P1's first write changes L1 under
+      // the drive — P2 evaluates twice.
+      {blocks[2], blocks[0], blocks[1], blocks[2]},
+      // Cycle 1: P1 rewrites L1 = 5 unchanged, so P2's kEval is skipped.
+      {blocks[2], blocks[0], blocks[1]},
+      // Cycle 2: P2 sat at a state fixed point with no new input, so its
+      // drive is a carry-over; P1's change (5 -> 9) wakes its kEval.
+      {blocks[0], blocks[1], blocks[2]},
+      // Cycle 3: L1 changes again under the drive.
+      {blocks[2], blocks[0], blocks[1], blocks[2]},
+  };
+  for (std::size_t c = 0; c < expected.size(); ++c) {
+    order.clear();
+    const StepStats st = cp.step();
+    rr.step();
+    EXPECT_EQ(order, expected[c]) << "cycle " << c;
+    EXPECT_EQ(st.skipped_blocks, 0u) << "cycle " << c;
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(cp.block_state(blocks[i]), rr.block_state(blocks[i]))
+          << "cycle " << c;
+      EXPECT_EQ(cp.link_value(links[i]), rr.link_value(links[i]))
+          << "cycle " << c;
+    }
+  }
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 
 #include "common/rng.h"
 #include "farm/admission.h"
+#include "farm/job_result.h"
+#include "farm/session.h"
 
 namespace tmsim::farm {
 namespace {
@@ -215,6 +217,46 @@ TEST(JobSpec, ValidateRejectsEnginePoliciesTheJobCannotHonour) {
   EXPECT_NE(static_out.detail.find("combinational"), std::string::npos)
       << static_out.detail;
   EXPECT_EQ(q.depth(), 0u);
+}
+
+TEST(JobSpec, WorklistSchedulerIsACompiledAlias) {
+  // `scheduler=worklist` names the event-driven scheduler the gated
+  // compiled schedule replaced. Job texts that name it keep parsing and
+  // printing under that name, and run the compiled path: the results
+  // match compiled and the round-robin reference bit for bit.
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    SplitMix64 rng(0xa11a5ull + i);
+    JobSpec spec;
+    spec.name = "alias-" + std::to_string(i);
+    spec.net.width = 2 + rng.next_below(3);
+    spec.net.height = 2 + rng.next_below(2);
+    spec.seed = rng.next();
+    spec.cycles = 80 + rng.next_below(80);
+    spec.engine.num_shards = 1 + rng.next_below(2);
+    spec.workload.be_load = 0.02 + 0.04 * static_cast<double>(rng.next_below(4));
+    spec.engine.scheduler = core::SchedulerKind::kWorklist;
+    SCOPED_TRACE(spec.serialize());
+
+    const std::string text = spec.serialize();
+    EXPECT_NE(text.find("scheduler=worklist"), std::string::npos);
+    const JobSpec back = JobSpec::deserialize(text);
+    EXPECT_EQ(back, spec);
+    EXPECT_EQ(back.serialize(), text);
+
+    const JobResult wl = run_job_standalone(spec);
+    ASSERT_EQ(wl.status, JobStatus::kDone) << wl.error;
+    for (const core::SchedulerKind other :
+         {core::SchedulerKind::kCompiled, core::SchedulerKind::kRoundRobin}) {
+      JobSpec o = spec;
+      o.engine.scheduler = other;
+      JobResult r = run_job_standalone(o);
+      // Same job but for the scheduler name, which the fingerprint hashes.
+      r.spec_fingerprint = wl.spec_fingerprint;
+      std::string why;
+      EXPECT_TRUE(results_equivalent(wl, r, &why))
+          << core::scheduler_kind_name(other) << ": " << why;
+    }
+  }
 }
 
 TEST(JobSpec, DeriveSeedSeparatesDomains) {

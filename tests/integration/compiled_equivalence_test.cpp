@@ -6,8 +6,10 @@
 //    per-shard Jacobi supersteps when a partition cuts the cycle;
 //  * a non-settling cycle (a NOT self-loop), where compiled must fail
 //    with the same structured ConvergenceError as the reference
-//    scheduler, while the worklist scheduler rejects the shape at
-//    construction time.
+//    scheduler.
+//
+// kWorklist is an alias of kCompiled, so it must accept both shapes and
+// behave exactly like kCompiled.
 //
 // OR is monotone and every settled cycle ends with the latch halves
 // equal, so the per-cycle fixed point is evaluation-order independent:
@@ -20,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "core/example_blocks.h"
@@ -135,10 +136,9 @@ TEST(CompiledEquivalence, OrLatchSccIsBitIdenticalAcrossAllEngines) {
 }
 
 TEST(CompiledEquivalence, OrSelfLoopSettlesUnderCompiled) {
-  // A monotone self-loop: or2 a with out0 looped back to in0. The
-  // worklist scheduler rejects this shape outright; compiled confines it
-  // to a one-block settle region and converges (x = x | ext is a fixed
-  // point after one round).
+  // A monotone self-loop: or2 a with out0 looped back to in0. Compiled
+  // confines it to a one-block settle region and converges (x = x | ext
+  // is a fixed point after one round).
   SystemModel model;
   const BlockId a = model.add_block(std::make_shared<Or2Block>(8), "a");
   const LinkId loop = model.add_link("loop", 8, LinkKind::kCombinational);
@@ -152,23 +152,23 @@ TEST(CompiledEquivalence, OrSelfLoopSettlesUnderCompiled) {
 
   ShardedSimulator cp(model, {.scheduler = SchedulerKind::kCompiled});
   ShardedSimulator rr(model, {});
+  ShardedSimulator wl(model, {.scheduler = SchedulerKind::kWorklist});
   cp.set_external_input(ext, val(8, 0x21));
   rr.set_external_input(ext, val(8, 0x21));
-  cp.step();
+  wl.set_external_input(ext, val(8, 0x21));
+  const StepStats cp_stats = cp.step();
   rr.step();
   EXPECT_EQ(cp.link_value(out), val(8, 0x21));
   EXPECT_EQ(cp.link_value(out), rr.link_value(out));
-
-  EXPECT_THROW(ShardedSimulator(model, {.scheduler = SchedulerKind::kWorklist}),
-               ContextualError);
+  // The kWorklist alias runs the same compiled program.
+  EXPECT_EQ(wl.step(), cp_stats);
+  EXPECT_EQ(wl.link_value(out), cp.link_value(out));
 }
 
 TEST(CompiledEquivalence, NonSettlingLoopFailsStructurallyUnderCompiled) {
   // NOT self-loop: oscillates forever. The reference scheduler and the
   // compiled settle fallback must both convert the spin into the same
-  // structured report; the worklist scheduler refuses the topology at
-  // construction time (rejection parity is the *same defect surfaced at
-  // a different phase*, never a hang).
+  // structured report, never a hang.
   SystemModel model;
   const BlockId a = model.add_block(std::make_shared<NotBlock>(), "a");
   const LinkId aa = model.add_link("aa", 1, LinkKind::kCombinational);
@@ -198,9 +198,11 @@ TEST(CompiledEquivalence, NonSettlingLoopFailsStructurallyUnderCompiled) {
   ASSERT_FALSE(r2.oscillating_blocks.empty());
   EXPECT_EQ(r2.oscillating_blocks[0], a);
 
-  EXPECT_THROW(ShardedSimulator(model, {.max_evals_per_block = 16,
-                                        .scheduler = SchedulerKind::kWorklist}),
-               ContextualError);
+  ShardedSimulator wl(model, {.max_evals_per_block = 16,
+                              .scheduler = SchedulerKind::kWorklist});
+  const ConvergenceReport r3 = trip(wl);
+  EXPECT_EQ(r3.limit, r2.limit);
+  EXPECT_EQ(r3.oscillating_blocks, r2.oscillating_blocks);
 }
 
 TEST(CompiledEquivalence, SettleBudgetReportsTheSccBudgetItHit) {

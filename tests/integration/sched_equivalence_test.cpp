@@ -1,15 +1,14 @@
-// Differential proof of the worklist scheduler (DESIGN.md §12): for any
-// topology, workload, seed, engine shape (one shard or many) and shard
-// count, SchedulerKind::kWorklist must produce results bit-identical to
-// the reference round-robin sweep — every local output, every credit
-// wire, every register bit, every cycle (LockstepNocSimulation throws
-// on the first divergence), every link value at the end.
+// Differential proof of the activity-gated compiled schedule (DESIGN.md
+// §17): for any topology, workload, seed, engine shape (one shard or
+// many) and shard count, SchedulerKind::kCompiled must produce results
+// bit-identical to the reference round-robin sweep — every local output,
+// every credit wire, every register bit, every cycle
+// (LockstepNocSimulation throws on the first divergence), every link
+// value at the end.
 //
-// Also here: the quiescence fast-path accounting, the degenerate-
-// topology rejections (combinational self-loops, external links with no
-// readers), the ConvergenceReport parity between engines, a saturated-
-// worklist stress (runs under the tsan preset via the `sched` label),
-// and the engine.sched.* metrics rows.
+// Also here: the activity gate's skip accounting, the ConvergenceReport
+// parity between engines, a saturated-load stress (runs under the tsan
+// preset via the `sched` label), and the engine.sched.* metrics rows.
 //
 // Every randomized case derives its whole configuration from one index,
 // printed as a replay tuple via SCOPED_TRACE on failure: rerun with
@@ -66,8 +65,8 @@ struct RandomConfig {
 };
 
 /// The whole configuration space is a pure function of the case index.
-/// Loads span idle-ish (where the fast path skips nearly everything) to
-/// saturated (where the worklist is constantly full) — the scheduler
+/// Loads span idle-ish (where the activity gate skips nearly everything)
+/// to saturated (where nearly every block is active) — the scheduler
 /// must be invisible in results across the entire range.
 RandomConfig derive_config(std::uint64_t index) {
   SplitMix64 rng(0x5c4ed5eed ^ (index * 0x9e3779b97f4a7c15ull));
@@ -124,15 +123,14 @@ TEST_P(SchedRandomized, SchedulersBitIdenticalAcrossEngines) {
   SCOPED_TRACE(cfg.replay_tuple(index));
   const NetworkConfig net = make_net(cfg);
 
-  // {round_robin, worklist, compiled} × {one shard, N shards}, all in
-  // lockstep: the round-robin one-shard engine is the reference every
-  // other combination must match cycle for cycle.
+  // {round_robin, compiled} × {one shard, N shards}, all in lockstep:
+  // the round-robin one-shard engine is the reference every other
+  // combination must match cycle for cycle.
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
   std::vector<const SeqNocSimulation*> raw;
   for (const std::size_t shards : {std::size_t{1}, cfg.num_shards}) {
     for (const SchedulerKind sched :
-         {SchedulerKind::kRoundRobin, SchedulerKind::kWorklist,
-          SchedulerKind::kCompiled}) {
+         {SchedulerKind::kRoundRobin, SchedulerKind::kCompiled}) {
       auto sim = std::make_unique<SeqNocSimulation>(
           net, make_opts(cfg, shards, sched));
       raw.push_back(sim.get());
@@ -148,7 +146,7 @@ TEST_P(SchedRandomized, SchedulersBitIdenticalAcrossEngines) {
   h.set_be_load(cfg.be_load, {0, 1, 2, 3});
   h.run(cfg.cycles);  // lockstep throws on any per-cycle divergence
   h.set_be_load(0.0);
-  h.run(60);  // drain: the idle tail exercises the quiescence fast path
+  h.run(60);  // drain: the idle tail exercises the cross-cycle skip
   noc::check_credit_invariant(lockstep);
 
   // Final link-state sweep: every link of the model, not just the
@@ -172,8 +170,8 @@ INSTANTIATE_TEST_SUITE_P(Configs, SchedRandomized,
 TEST(SchedQuiescence, IdleNocIsSkippedEntirelyByBothEngines) {
   // A NoC with no traffic settles to a fixed point within a few warmup
   // cycles (idle routers stop rotating their arbiter pointers); from
-  // then on the worklist scheduler must evaluate nothing at all while
-  // the round-robin reference still pays one pass per cycle.
+  // then on the compiled schedule's activity gate must evaluate nothing
+  // at all while the round-robin reference still pays one pass per cycle.
   NetworkConfig net;
   net.width = 4;
   net.height = 4;
@@ -194,10 +192,50 @@ TEST(SchedQuiescence, IdleNocIsSkippedEntirelyByBothEngines) {
         idle_stats(shards, SchedulerKind::kRoundRobin);
     EXPECT_EQ(rr.delta_cycles, n) << "shards=" << shards;
     EXPECT_EQ(rr.skipped_blocks, 0u) << "shards=" << shards;
-    const core::StepStats wl = idle_stats(shards, SchedulerKind::kWorklist);
-    EXPECT_EQ(wl.delta_cycles, 0u) << "shards=" << shards;
-    EXPECT_EQ(wl.skipped_blocks, n) << "shards=" << shards;
-    EXPECT_EQ(wl.worklist_high_water, 0u) << "shards=" << shards;
+    const core::StepStats cp = idle_stats(shards, SchedulerKind::kCompiled);
+    EXPECT_EQ(cp.delta_cycles, 0u) << "shards=" << shards;
+    EXPECT_EQ(cp.skipped_blocks, n) << "shards=" << shards;
+    EXPECT_EQ(cp.settle_rounds, 1u) << "shards=" << shards;
+  }
+}
+
+TEST(SchedStats, SkippedPlusFirstEvaluationsCoverEveryBlockEachCycle) {
+  // skipped_blocks counts the blocks with no evaluation at all this
+  // cycle, once each — even a block with both a drive and an eval op, or
+  // one woken by a cut-link exchange. So every cycle, skipped blocks plus
+  // first evaluations (delta_cycles - re_evaluations) is the block count.
+  NetworkConfig net;
+  net.width = 6;
+  net.height = 6;
+  net.topology = Topology::kMesh;
+  const std::size_t n = net.num_routers();
+  RandomConfig cfg = derive_config(2);
+  cfg.partition = PartitionPolicy::kMinCutGreedy;
+  for (const SchedulerKind sched :
+       {SchedulerKind::kRoundRobin, SchedulerKind::kCompiled}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(core::scheduler_kind_name(sched)) +
+                   " shards=" + std::to_string(shards));
+      SeqNocSimulation sim(net, make_opts(cfg, shards, sched));
+      traffic::TrafficHarness::Options opts;
+      opts.seed = 0x5a75u;
+      traffic::TrafficHarness h(sim, opts);
+      h.set_be_load(0.02);
+      std::uint64_t skipped = 0;
+      for (int c = 0; c < 200; ++c) {
+        h.run(1);
+        const core::StepStats st = sim.last_step_stats();
+        ASSERT_EQ(st.skipped_blocks + (st.delta_cycles - st.re_evaluations),
+                  n)
+            << "cycle " << c;
+        skipped += st.skipped_blocks;
+      }
+      if (sched == SchedulerKind::kRoundRobin) {
+        EXPECT_EQ(skipped, 0u);
+      } else {
+        EXPECT_GT(skipped, 0u);  // sparse load: the gate really skipped
+      }
+    }
   }
 }
 
@@ -209,81 +247,15 @@ TEST(SchedMetrics, WorklistCountersReachTheRegistry) {
   obs::MetricsRegistry registry;
   obs::EngineMetricsSink sink(registry);
   SeqNocSimulation sim(
-      net, make_opts(derive_config(1), 1, SchedulerKind::kWorklist));
+      net, make_opts(derive_config(1), 1, SchedulerKind::kCompiled));
   sim.set_observer(&sink);
   for (int i = 0; i < 10; ++i) {
     sim.step();
   }
   EXPECT_GT(registry.counter("engine.sched.delta_evals").value(), 0u);
   EXPECT_GT(registry.counter("engine.sched.skipped_blocks").value(), 0u);
-  // The first cycle queues all nine routers at once.
-  EXPECT_GE(registry.gauge("engine.sched.worklist_high_water").value(), 9.0);
   EXPECT_EQ(registry.counter("engine.sched.delta_evals").value(),
             registry.counter("engine.delta_cycles").value());
-}
-
-// ---------------------------------------------------------------------------
-// Degenerate-topology rejection (structured errors instead of a hang)
-// ---------------------------------------------------------------------------
-
-core::SystemModel self_loop_model() {
-  core::SystemModel m;
-  const core::BlockId a =
-      m.add_block(std::make_shared<core::examples::NotBlock>(), "a");
-  const core::LinkId aa =
-      m.add_link("aa", 1, core::LinkKind::kCombinational);
-  m.bind_output(a, 0, aa);
-  m.bind_input(a, 0, aa);
-  m.finalize();
-  return m;
-}
-
-TEST(SchedDegenerate, CombinationalSelfLoopRejectedAtConstruction) {
-  const core::SystemModel m = self_loop_model();
-  // Round-robin keeps the legacy behaviour: constructs, then reports
-  // the oscillation at step() time via the eval budget.
-  core::ShardedSimulator rr(m, {.max_evals_per_block = 16});
-  EXPECT_THROW(rr.step(), core::ConvergenceError);
-  // The worklist scheduler refuses the topology up front, structurally.
-  try {
-    core::ShardedSimulator wl(m, {.max_evals_per_block = 16,
-                                  .scheduler = SchedulerKind::kWorklist});
-    FAIL() << "worklist scheduler accepted a combinational self-loop";
-  } catch (const ContextualError& e) {
-    EXPECT_EQ(e.context_value("scheduler"), "worklist");
-    EXPECT_EQ(e.context_value("name"), "aa");
-  }
-  core::ShardedConfig cfg;
-  cfg.num_shards = 1;
-  cfg.scheduler = SchedulerKind::kWorklist;
-  EXPECT_THROW(core::ShardedSimulator(m, cfg), ContextualError);
-}
-
-TEST(SchedDegenerate, ExternalLinkWithNoReadersRejected) {
-  core::SystemModel m;
-  const core::BlockId a =
-      m.add_block(std::make_shared<core::examples::CombAdderBlock>(8, 1), "a");
-  const core::LinkId in = m.add_link("in", 8, core::LinkKind::kCombinational);
-  const core::LinkId out =
-      m.add_link("out", 8, core::LinkKind::kCombinational);
-  // An external link nobody reads: an event source wired to nothing.
-  m.add_link("dangle", 8, core::LinkKind::kCombinational);
-  m.bind_input(a, 0, in);
-  m.bind_output(a, 0, out);
-  m.finalize();
-  core::ShardedSimulator rr(m, {});  // legacy: fine
-  rr.step();
-  try {
-    core::ShardedSimulator wl(m, {.scheduler = SchedulerKind::kWorklist});
-    FAIL() << "worklist scheduler accepted a reader-less external link";
-  } catch (const ContextualError& e) {
-    EXPECT_EQ(e.context_value("scheduler"), "worklist");
-    EXPECT_EQ(e.context_value("name"), "dangle");
-  }
-  core::ShardedConfig cfg;
-  cfg.num_shards = 1;
-  cfg.scheduler = SchedulerKind::kWorklist;
-  EXPECT_THROW(core::ShardedSimulator(m, cfg), ContextualError);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,8 +294,6 @@ TEST(SchedConvergence, ReportParityBetweenEnginesAndSchedulers) {
   const core::SystemModel m = not_ring(5);
 
   core::ShardedSimulator seq_rr(m, {.max_evals_per_block = 16});
-  core::ShardedSimulator seq_wl(m, {.max_evals_per_block = 16,
-                                    .scheduler = SchedulerKind::kWorklist});
   // Compiled: the whole ring condenses into one SCC whose scoped settle
   // trips the same per-SCC budget (one shard), or — split one inverter
   // per shard — a cut loop that ping-pongs to the superstep cap.
@@ -332,20 +302,18 @@ TEST(SchedConvergence, ReportParityBetweenEnginesAndSchedulers) {
   core::ShardedConfig cfg;
   cfg.num_shards = 5;  // one inverter per shard: purely cross-shard loop
   cfg.max_evals_per_block = 16;
-  cfg.scheduler = SchedulerKind::kWorklist;
-  core::ShardedSimulator sh_wl(m, cfg);
+  core::ShardedSimulator sh_rr(m, cfg);
   core::ShardedConfig cp_cfg = cfg;
   cp_cfg.scheduler = SchedulerKind::kCompiled;
   core::ShardedSimulator sh_cp(m, cp_cfg);
 
   const core::ConvergenceReport a = trip(seq_rr);
-  const core::ConvergenceReport b = trip(seq_wl);
-  const core::ConvergenceReport c = trip(sh_wl);
+  const core::ConvergenceReport c = trip(sh_rr);
   const core::ConvergenceReport d = trip(seq_cp);
   const core::ConvergenceReport e = trip(sh_cp);
 
   // Size/limit fields agree across all engine/scheduler combinations.
-  for (const core::ConvergenceReport* r : {&a, &b, &c, &d, &e}) {
+  for (const core::ConvergenceReport* r : {&a, &c, &d, &e}) {
     EXPECT_EQ(r->num_blocks, m.num_blocks());
     EXPECT_EQ(r->limit, 16u * m.num_blocks());
     ASSERT_FALSE(r->oscillating_blocks.empty());
@@ -376,27 +344,31 @@ TEST(SchedConvergence, ReportParityBetweenEnginesAndSchedulers) {
 
 TEST(SchedConvergence, MergedShardedReportIsDeterministic) {
   const core::SystemModel m = not_ring(5);
-  auto report = [&] {
-    core::ShardedConfig cfg;
-    cfg.num_shards = 3;
-    cfg.max_evals_per_block = 16;
-    cfg.scheduler = SchedulerKind::kWorklist;
-    core::ShardedSimulator sim(m, cfg);
-    return trip(sim);
-  };
-  const core::ConvergenceReport a = report();
-  const core::ConvergenceReport b = report();
-  EXPECT_EQ(a.oscillating_blocks, b.oscillating_blocks);
-  EXPECT_EQ(a.last_changed_links, b.last_changed_links);
-  EXPECT_EQ(a.num_blocks, b.num_blocks);
-  EXPECT_EQ(a.limit, b.limit);
+  for (const SchedulerKind sched :
+       {SchedulerKind::kRoundRobin, SchedulerKind::kCompiled}) {
+    SCOPED_TRACE(core::scheduler_kind_name(sched));
+    auto report = [&] {
+      core::ShardedConfig cfg;
+      cfg.num_shards = 3;
+      cfg.max_evals_per_block = 16;
+      cfg.scheduler = sched;
+      core::ShardedSimulator sim(m, cfg);
+      return trip(sim);
+    };
+    const core::ConvergenceReport a = report();
+    const core::ConvergenceReport b = report();
+    EXPECT_EQ(a.oscillating_blocks, b.oscillating_blocks);
+    EXPECT_EQ(a.last_changed_links, b.last_changed_links);
+    EXPECT_EQ(a.num_blocks, b.num_blocks);
+    EXPECT_EQ(a.limit, b.limit);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Saturated-worklist stress — high load keeps every shard's FIFO busy
-// while results stay bit-identical. Runs under the tsan preset (the
-// `sched` label is in its filter), making this the data-race check for
-// the worklist fields on the shard structs.
+// Saturated-load stress — high load keeps nearly every block active and
+// the cut links busy while results stay bit-identical. Runs under the
+// tsan preset (the `sched` label is in its filter), making this the
+// data-race check for the activity flags on the shard structs.
 // ---------------------------------------------------------------------------
 
 TEST(SchedStress, SaturatedWorklistStaysBitIdenticalUnderLoad) {
@@ -407,10 +379,9 @@ TEST(SchedStress, SaturatedWorklistStaysBitIdenticalUnderLoad) {
   const RandomConfig cfg = derive_config(3);
 
   auto seq = std::make_unique<SeqNocSimulation>(
-      net, make_opts(cfg, 1, SchedulerKind::kWorklist));
+      net, make_opts(cfg, 1, SchedulerKind::kCompiled));
   auto sharded = std::make_unique<SeqNocSimulation>(
-      net, make_opts(cfg, 4, SchedulerKind::kWorklist));
-  const SeqNocSimulation* sharded_ptr = sharded.get();
+      net, make_opts(cfg, 4, SchedulerKind::kCompiled));
 
   std::vector<std::unique_ptr<noc::NocSimulation>> sims;
   sims.push_back(std::move(seq));
@@ -427,14 +398,15 @@ TEST(SchedStress, SaturatedWorklistStaysBitIdenticalUnderLoad) {
   h.run(80);
   noc::check_credit_invariant(lockstep);
 
-  // Under saturation the FIFO really was exercised: the high-water mark
-  // is a per-cycle stat, so probe it mid-load on a fresh run.
-  SeqNocSimulation probe(net, make_opts(cfg, 4, SchedulerKind::kWorklist));
+  // Under saturation the gate really let work through: probe a cycle
+  // mid-load on a fresh run — blocks evaluated and cut values crossed
+  // the mailbox.
+  SeqNocSimulation probe(net, make_opts(cfg, 4, SchedulerKind::kCompiled));
   traffic::TrafficHarness hp(probe, opts);
   hp.set_be_load(0.9, {0, 1, 2, 3});
   hp.run(50);
-  EXPECT_GT(probe.last_step_stats().worklist_high_water, 0u);
-  (void)sharded_ptr;
+  EXPECT_GT(probe.last_step_stats().delta_cycles, 0u);
+  EXPECT_GT(probe.last_step_stats().cut_publishes, 0u);
 }
 
 }  // namespace
