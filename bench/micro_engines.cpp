@@ -129,7 +129,7 @@ BENCHMARK(BM_RouterBlockEvaluateWord);
 
 /// One system cycle of bank traffic for a 6×6 NoC's typed state memory:
 /// every block's old state read and carried into the new bank (the
-/// worklist's skip path), then the pointer flip.
+/// activity gate's skip path), then the pointer flip.
 void BM_StateMemoryRoundTrip(benchmark::State& state) {
   const noc::NetworkConfig net = net_of(6, 6);
   const core::NocModel nm = core::build_noc_model(net);

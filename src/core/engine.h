@@ -182,9 +182,10 @@ class SimObserver {
 /// state (DESIGN.md §17). None of it can affect results — that is the
 /// engine contract — but it does affect *StepStats*: the round-robin
 /// cursor persists across cycles, and the compiled schedule's activity
-/// flags decide which blocks get skipped. A farm job preempted on one worker
-/// and resumed on another must replay the same scheduling stats stream
-/// it would have produced uninterrupted, so checkpoints carry this too.
+/// flags decide which blocks get skipped. A farm job preempted on one
+/// worker and resumed on another must replay the same scheduling stats
+/// stream it would have produced uninterrupted, so checkpoints carry
+/// this too.
 /// Deliberately excluded from the checkpoint digest: it is not
 /// architectural state.
 ///
@@ -210,10 +211,11 @@ struct EngineCheckpoint {
   std::uint64_t digest = 0;             ///< FNV-1a over the states
   SchedulerCheckpoint sched;            ///< stats-stream resume state
   /// Committed values of the block-driven combinational links (ids
-  /// ascending, values parallel; testbench-read outputs included). Derived state — recomputable from block states by
-  /// one settle — but carried so the activity flags in `sched` stay
-  /// sound after a restore: a skipped block does not rewrite its
-  /// outputs, so the restored engine must already hold them. Guarded by
+  /// ascending, values parallel; testbench-read outputs included).
+  /// Derived state — recomputable from block states by one settle — but
+  /// carried so the activity flags in `sched` stay sound after a
+  /// restore: a skipped block does not rewrite its outputs, so the
+  /// restored engine must already hold them. Guarded by
   /// its own digest; excluded from `digest`, which stays the pure
   /// architectural-state witness the differential harnesses compare.
   std::vector<LinkId> link_ids;

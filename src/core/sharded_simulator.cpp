@@ -127,7 +127,8 @@ ShardedSimulator::ShardedSimulator(const SystemModel& model,
       std::uint32_t at = sh->reader_begin[l];
       for (const Endpoint& r : model.link(l).readers) {
         if (part_.shard_of[r.block] == s) {
-          sh->local_readers[at++] = static_cast<std::uint32_t>(local_of_[r.block]);
+          sh->local_readers[at++] =
+              static_cast<std::uint32_t>(local_of_[r.block]);
         }
       }
     }
@@ -566,7 +567,8 @@ void ShardedSimulator::run_compiled_schedule(Shard& sh) {
   //      exactly (a kEval after its kDrive, a replay superstep); or
   //  (b) the block touches combinational links only and that evaluation
   //      mapped its state onto itself: last cycle's outputs are still on
-  //      the links, and carrying the state over commits the same state.
+  //      the links, and carrying the state over at the block's kEval
+  //      commits the same state (a kDrive has no state to commit).
   for (const LocalOp& op : sh.program) {
     if (op.kind == analysis::CompiledOpKind::kSettle) {
       settle_scc_local(sh, op.index);
@@ -581,7 +583,9 @@ void ShardedSimulator::run_compiled_schedule(Shard& sh) {
         continue;
       }
       if (sh.skippable[i] && sh.state_fixed[i]) {
-        sh.state.carry_over(i);
+        if (op.kind == analysis::CompiledOpKind::kEval) {
+          sh.state.carry_over(i);
+        }
         continue;
       }
     }

@@ -233,7 +233,8 @@ TEST(JobSpec, WorklistSchedulerIsACompiledAlias) {
     spec.seed = rng.next();
     spec.cycles = 80 + rng.next_below(80);
     spec.engine.num_shards = 1 + rng.next_below(2);
-    spec.workload.be_load = 0.02 + 0.04 * static_cast<double>(rng.next_below(4));
+    spec.workload.be_load =
+        0.02 + 0.04 * static_cast<double>(rng.next_below(4));
     spec.engine.scheduler = core::SchedulerKind::kWorklist;
     SCOPED_TRACE(spec.serialize());
 

@@ -204,6 +204,7 @@ TEST(SchedStats, SkippedPlusFirstEvaluationsCoverEveryBlockEachCycle) {
   // cycle, once each — even a block with both a drive and an eval op, or
   // one woken by a cut-link exchange. So every cycle, skipped blocks plus
   // first evaluations (delta_cycles - re_evaluations) is the block count.
+  // kWorklist runs as its compiled alias.
   NetworkConfig net;
   net.width = 6;
   net.height = 6;
@@ -212,7 +213,8 @@ TEST(SchedStats, SkippedPlusFirstEvaluationsCoverEveryBlockEachCycle) {
   RandomConfig cfg = derive_config(2);
   cfg.partition = PartitionPolicy::kMinCutGreedy;
   for (const SchedulerKind sched :
-       {SchedulerKind::kRoundRobin, SchedulerKind::kCompiled}) {
+       {SchedulerKind::kRoundRobin, SchedulerKind::kCompiled,
+        SchedulerKind::kWorklist}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
       SCOPED_TRACE(std::string(core::scheduler_kind_name(sched)) +
                    " shards=" + std::to_string(shards));
