@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the primitives whose costs drive
 // every number in Tables 3/4: one router evaluation (bare logic, and as
-// a RouterBlock on typed states vs. through the state word), the
-// state-word codec, the memory banks, and whole-engine steps across
-// network sizes.
+// a RouterBlock on typed states vs. through the state word), its parts on
+// a loaded router (arbitration, state copy and compare), the state-word
+// codec, the memory banks, and whole-engine steps across network sizes.
 // Besides the console table, the run drops BENCH_micro_engines.json with
 // one metric per benchmark (adjusted real time).
 #include <benchmark/benchmark.h>
@@ -63,6 +63,93 @@ void BM_RouterEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouterEvaluate);
+
+/// A loaded router: the busiest router (most queued flits) of a seeded
+/// 6×6 torus after 200 cycles of best-effort traffic at load 0.3, so
+/// several queues hold flits and contend for the same output ports.
+struct LoadedRouter {
+  noc::NetworkConfig net = net_of(6, 6);
+  noc::RouterState state{net.router};
+  noc::Coord coord;
+};
+
+const LoadedRouter& loaded_router() {
+  static const LoadedRouter loaded = [] {
+    LoadedRouter lr;
+    core::SeqNocSimulation sim(lr.net);
+    traffic::TrafficHarness::Options opts;
+    opts.seed = 5;
+    traffic::TrafficHarness h(sim, opts);
+    h.set_be_load(0.3, {0, 1, 2, 3});
+    h.run(200);
+    const noc::RouterStateCodec codec(lr.net.router);
+    std::size_t most = 0;
+    for (std::size_t r = 0; r < lr.net.num_routers(); ++r) {
+      const noc::RouterState s = codec.deserialize(sim.router_state_word(r));
+      std::size_t flits = 0;
+      for (const noc::QueueState& q : s.queues) {
+        flits += q.fifo.size();
+      }
+      if (flits > most) {
+        most = flits;
+        lr.state = s;
+        lr.coord = noc::router_coord(lr.net, r);
+      }
+    }
+    return lr;
+  }();
+  return loaded;
+}
+
+/// The five round-robin arbiters on a loaded router.
+void BM_ComputeGrants(benchmark::State& state) {
+  const LoadedRouter& lr = loaded_router();
+  const noc::RouterEnv env{&lr.net, lr.coord};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compute_grants(lr.state, env));
+  }
+}
+BENCHMARK(BM_ComputeGrants);
+
+/// G and F on a loaded router, as one delta-cycle evaluation runs them.
+void BM_RouterEvaluateLoaded(benchmark::State& state) {
+  const LoadedRouter& lr = loaded_router();
+  const noc::RouterEnv env{&lr.net, lr.coord};
+  noc::RouterState next(lr.net.router);
+  const noc::RouterInputs in;
+  for (auto _ : state) {
+    const noc::Grants g = compute_grants(lr.state, env);
+    benchmark::DoNotOptimize(compute_outputs(lr.state, g, env));
+    compute_next_state_into(lr.state, g, in, env, next);
+    benchmark::DoNotOptimize(next);
+  }
+}
+BENCHMARK(BM_RouterEvaluateLoaded);
+
+/// Copying a loaded router state: the engine's carry-over of a skipped
+/// block, and the first step of every next-state computation.
+void BM_RouterStateCopy(benchmark::State& state) {
+  const LoadedRouter& lr = loaded_router();
+  noc::RouterState copy(lr.net.router);
+  for (auto _ : state) {
+    copy = lr.state;
+    benchmark::DoNotOptimize(copy);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RouterStateCopy);
+
+/// Comparing two equal loaded router states — the activity gate's
+/// per-evaluation fixed-point test, on its slowest (equal) outcome.
+void BM_RouterStateEquals(benchmark::State& state) {
+  const LoadedRouter& lr = loaded_router();
+  const noc::RouterState copy = lr.state;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(copy == lr.state);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RouterStateEquals);
 
 void BM_StateWordSerialize(benchmark::State& state) {
   const noc::RouterConfig cfg;

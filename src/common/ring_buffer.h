@@ -1,11 +1,10 @@
 // Fixed-capacity ring buffer.
 //
-// Two distinct uses in this reproduction:
-//  - the router's flit input queues (noc/), where capacity is the
-//    synthesized queue depth and overflow is a hardware bug;
-//  - the FPGA↔ARM cyclic buffers (fpga/cyclic_buffer.h builds on the same
-//    pointer discipline but adds the paper's timestamping and the split
-//    hardware/software read-write pointer pair).
+// Used for the FPGA↔ARM cyclic buffers (fpga/cyclic_buffer.h builds on
+// the same pointer discipline but adds the paper's timestamping and the
+// split hardware/software read-write pointer pair). The router's flit
+// input queues follow the same discipline with inline storage
+// (noc/flit_queue.h), and their tests check the two against each other.
 #pragma once
 
 #include <cstddef>

@@ -17,12 +17,15 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "common/error.h"
 
 namespace tmsim::noc {
 
-enum class FlitType : std::uint8_t {
+/// 16 bits wide so that a Flit has no padding byte: router states are
+/// compared as raw bytes (RouterState::operator==).
+enum class FlitType : std::uint16_t {
   kIdle = 0,
   kHead = 1,
   kBody = 2,
@@ -40,6 +43,7 @@ struct Flit {
 
   friend bool operator==(const Flit&, const Flit&) = default;
 };
+static_assert(std::has_unique_object_representations_v<Flit>);
 
 /// Packs a flit into its 18-bit queue-slot encoding.
 inline std::uint32_t encode_flit(const Flit& f) {

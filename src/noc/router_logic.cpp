@@ -1,15 +1,36 @@
 #include "noc/router_logic.h"
 
+#include <bit>
+#include <cstdint>
+
 namespace tmsim::noc {
 
 namespace {
 
+/// Input port and VC of every queue index, per num_vcs: the per-grant
+/// bookkeeping looks them up instead of dividing by num_vcs.
+struct QueuePort {
+  std::uint8_t port;
+  std::uint8_t vc;
+};
+
+constexpr auto kQueuePorts = [] {
+  std::array<std::array<QueuePort, kMaxQueues>, kMaxVcs> t{};
+  for (std::size_t nv = 1; nv <= kMaxVcs; ++nv) {
+    for (std::size_t q = 0; q < kPorts * nv; ++q) {
+      t[nv - 1][q] = {static_cast<std::uint8_t>(q / nv),
+                      static_cast<std::uint8_t>(q % nv)};
+    }
+  }
+  return t;
+}();
+
 std::size_t in_port_of(std::size_t q, const RouterConfig& cfg) {
-  return q / cfg.num_vcs;
+  return kQueuePorts[cfg.num_vcs - 1][q].port;
 }
 
 std::size_t vc_of(std::size_t q, const RouterConfig& cfg) {
-  return q % cfg.num_vcs;
+  return kQueuePorts[cfg.num_vcs - 1][q].vc;
 }
 
 }  // namespace
@@ -25,6 +46,8 @@ std::optional<Port> queue_request(const RouterState& s, std::size_t q,
     // Mid-packet: the route is held until the TAIL passes.
     TMSIM_CHECK_MSG(head.type == FlitType::kBody || head.type == FlitType::kTail,
                     "locked queue must hold BODY/TAIL at its head");
+    TMSIM_CHECK_MSG(static_cast<std::size_t>(qs.out_port) < kPorts,
+                    "locked route names no port");
     return qs.out_port;
   }
   TMSIM_CHECK_MSG(head.type == FlitType::kHead,
@@ -33,43 +56,42 @@ std::optional<Port> queue_request(const RouterState& s, std::size_t q,
   return route_xy(*env.net, env.coord, Coord{h.dest_x, h.dest_y});
 }
 
-bool queue_eligible(const RouterState& s, std::size_t q,
-                    const RouterEnv& env) {
-  const std::optional<Port> req = queue_request(s, q, env);
-  if (!req.has_value()) {
-    return false;
-  }
-  const RouterConfig& cfg = env.net->router;
-  const std::size_t v = vc_of(q, cfg);
-  const OutVcState& ovc = s.out_vcs[RouterState::index(cfg, *req, v)];
-  if (ovc.credits == 0) {
-    return false;
-  }
-  if (s.queues[q].locked) {
-    // Mid-packet flits flow only while this queue owns the output VC.
-    return ovc.busy && ovc.owner_port == in_port_of(q, cfg);
-  }
-  // A HEAD may only claim a free output VC.
-  return !ovc.busy;
-}
-
-int arbiter_grant(const RouterState& s, Port o, const RouterEnv& env) {
+Grants compute_grants(const RouterState& s, const RouterEnv& env) {
   const RouterConfig& cfg = env.net->router;
   const std::size_t nq = cfg.num_queues();
-  const std::size_t start = s.rr_ptr[static_cast<std::size_t>(o)];
-  for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t q = (start + i) % nq;
-    if (queue_eligible(s, q, env) && *queue_request(s, q, env) == o) {
-      return static_cast<int>(q);
+  // Bit q of requests[o]: queue q may send and its head asks for port o.
+  static_assert(kMaxQueues <= 32, "one request bit per queue");
+  std::array<std::uint32_t, kPorts> requests{};
+  for (std::size_t p = 0, q = 0; p < kPorts; ++p) {
+    for (std::size_t v = 0; v < cfg.num_vcs; ++v, ++q) {
+      const std::optional<Port> req = queue_request(s, q, env);
+      if (!req.has_value()) {
+        continue;
+      }
+      const OutVcState& ovc = s.out_vcs[RouterState::index(cfg, *req, v)];
+      // Mid-packet flits flow only while this queue owns the output VC;
+      // a HEAD may only claim a free one.
+      const bool lock_ok = s.queues[q].locked
+                               ? ovc.busy && ovc.owner_port == p
+                               : !ovc.busy;
+      if (ovc.credits != 0 && lock_ok) {
+        requests[static_cast<std::size_t>(*req)] |= std::uint32_t{1} << q;
+      }
     }
   }
-  return -1;
-}
-
-Grants compute_grants(const RouterState& s, const RouterEnv& env) {
   Grants g;
   for (std::size_t o = 0; o < kPorts; ++o) {
-    g.granted[o] = arbiter_grant(s, static_cast<Port>(o), env);
+    const std::uint32_t req = requests[o];
+    if (req == 0) {
+      continue;
+    }
+    std::size_t start = s.rr_ptr[o];
+    if (start >= nq) {
+      start %= nq;
+    }
+    // start < nq <= 20: the shift stays inside the word.
+    const std::uint32_t from_start = req & (~std::uint32_t{0} << start);
+    g.granted[o] = std::countr_zero(from_start != 0 ? from_start : req);
   }
   return g;
 }
@@ -141,7 +163,7 @@ void compute_next_state_into(const RouterState& s, const Grants& grants,
                     "flit forwarded without a credit");
     --next.out_vcs[ovc_idx].credits;
     next.rr_ptr[o] =
-        static_cast<std::uint8_t>((q + 1) % cfg.num_queues());
+        static_cast<std::uint8_t>(q + 1 == cfg.num_queues() ? 0 : q + 1);
   }
 
   // 2. Credit returns from downstream routers. The counter wraps at its

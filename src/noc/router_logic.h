@@ -78,15 +78,18 @@ struct Grants {
 std::optional<Port> queue_request(const RouterState& s, std::size_t q,
                                   const RouterEnv& env);
 
-/// True when queue `q` may send this cycle: it has a flit, the requested
-/// output VC has a credit, and the wormhole lock allows it (free VC for a
-/// HEAD, owned VC for BODY/TAIL).
-bool queue_eligible(const RouterState& s, std::size_t q, const RouterEnv& env);
-
-/// Round-robin arbitration for output port `o` over all queues.
-int arbiter_grant(const RouterState& s, Port o, const RouterEnv& env);
-
-/// All five arbiters.
+/// All five round-robin arbiters. Queue q may send when it has a flit,
+/// the output VC its head requests has a credit, and the wormhole lock
+/// allows it (a free VC for a HEAD, an owned VC for BODY/TAIL). Arbiter o
+/// grants the first such queue requesting port o at or after rr_ptr[o],
+/// wrapping around; a pointer at or past num_queues (only a loaded word
+/// can hold one) counts as rr_ptr[o] % num_queues.
+///
+/// In hardware these are five independent per-port scans. Here one pass
+/// over the queues computes each request and its eligibility once and
+/// builds a request bitmask per output port; each arbiter then takes the
+/// first set bit from its pointer on — the same grants, without the
+/// 5 × 20 rescans.
 Grants compute_grants(const RouterState& s, const RouterEnv& env);
 
 /// G(state): the link values driven by the router, given `grants`
@@ -107,9 +110,8 @@ RouterState compute_next_state(const RouterState& s, const RouterInputs& in,
 RouterState compute_next_state(const RouterState& s, const Grants& grants,
                                const RouterInputs& in, const RouterEnv& env);
 
-/// Allocation-free F for the simulation hot path: assigns `next = s` and
-/// mutates in place (`next` must have the same shape; its buffers are
-/// reused across calls).
+/// F for the simulation hot path: assigns `next = s` (one flat copy) and
+/// mutates it in place.
 void compute_next_state_into(const RouterState& s, const Grants& grants,
                              const RouterInputs& in, const RouterEnv& env,
                              RouterState& next);

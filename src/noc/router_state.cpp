@@ -11,21 +11,19 @@ constexpr const char* kCatControl = "control and arbitration";
 std::string qname(std::size_t q, const char* what) {
   return "q" + std::to_string(q) + "." + what;
 }
+
+const RouterConfig& validated(const RouterConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
 }  // namespace
 
-RouterState::RouterState(const RouterConfig& cfg) {
-  cfg.validate();
-  queues.reserve(cfg.num_queues());
-  for (std::size_t q = 0; q < cfg.num_queues(); ++q) {
-    queues.emplace_back(cfg.queue_depth);
-  }
-  out_vcs.resize(cfg.num_queues());
-  for (auto& ovc : out_vcs) {
-    // All downstream queues start empty: full credit.
-    ovc.credits = static_cast<std::uint8_t>(cfg.queue_depth);
-  }
-  rr_ptr.assign(kPorts, 0);
-}
+RouterState::RouterState(const RouterConfig& cfg)
+    : queues(validated(cfg).num_queues(), QueueState(cfg.queue_depth)),
+      // All downstream queues start empty: full credit.
+      out_vcs(cfg.num_queues(),
+              OutVcState{.credits =
+                             static_cast<std::uint8_t>(cfg.queue_depth)}) {}
 
 RouterStateCodec::RouterStateCodec(const RouterConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
@@ -129,7 +127,16 @@ void RouterStateCodec::deserialize_into(const BitVector& word,
              : (wr + cfg_.queue_depth - rd) % cfg_.queue_depth;
     qs.fifo.restore(rd, wr, size);
     qs.locked = layout_.read(word, f_locked_[q]) != 0;
-    qs.out_port = static_cast<Port>(layout_.read(word, f_outport_[q]));
+    // A 3-bit field: values 5..7 name no port. No reachable state holds
+    // one, and a locked queue would index the output VCs out of range.
+    const std::uint64_t out_port = layout_.read(word, f_outport_[q]);
+    if (out_port >= kPorts) {
+      throw ContextualError(
+          "router state word: queue out_port names no port",
+          {{"queue", std::to_string(q)},
+           {"out_port", std::to_string(out_port)}});
+    }
+    qs.out_port = static_cast<Port>(out_port);
   }
   for (std::size_t o = 0; o < nq; ++o) {
     OutVcState& ovc = s.out_vcs[o];

@@ -73,11 +73,12 @@ struct DimStep {
 DimStep dim_step(std::size_t from, std::size_t to, std::size_t extent,
                  bool torus) {
   if (from == to) return {0, 0};
-  const std::size_t fwd = (to + extent - from) % extent;   // east/south hops
-  const std::size_t bwd = (from + extent - to) % extent;   // west/north hops
   if (!torus) {
     return to > from ? DimStep{+1, to - from} : DimStep{-1, from - to};
   }
+  // Both below extent: no modulo needed (every HEAD flit routes here).
+  const std::size_t fwd = to > from ? to - from : to + extent - from;  // east/south
+  const std::size_t bwd = extent - fwd;                                // west/north
   // Shortest wrap direction; exact tie goes to the positive direction.
   return fwd <= bwd ? DimStep{+1, fwd} : DimStep{-1, bwd};
 }

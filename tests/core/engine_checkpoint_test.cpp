@@ -11,8 +11,10 @@
 
 #include "core/engine.h"
 #include "core/example_blocks.h"
+#include "core/noc_block.h"
 #include "core/sharded_simulator.h"
 #include "core/system_model.h"
+#include "noc/router_state.h"
 
 namespace tmsim::core {
 namespace {
@@ -104,6 +106,55 @@ TEST(EngineCheckpoint, TamperedCheckpointIsRejected) {
     ck.block_states[1] = val(16, 0xbad);  // states mutated after capture
     EXPECT_THROW(restore_checkpoint(sim, ck), std::exception);
   }
+}
+
+/// FNV-1a over the states, the way save_checkpoint digests them, so a
+/// crafted snapshot gets past the digest check to the loads behind it.
+std::uint64_t checkpoint_digest(const std::vector<BitVector>& states) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const BitVector& s : states) {
+    mix(s.width());
+    for (const std::uint64_t w : s.words()) {
+      mix(w);
+    }
+  }
+  return h;
+}
+
+TEST(EngineCheckpoint, RouterWordWithOutPortNamingNoPortIsRefused) {
+  // A router state word whose locked queue routes to out_port 6 (a 3-bit
+  // field; ports are 0..4) would send the router logic past its output
+  // VCs. Restore and load_block_state refuse it with a structured error.
+  noc::NetworkConfig net;
+  net.width = 3;
+  net.height = 3;
+  SeqNocSimulation sim(net);
+  sim.step();
+  EngineCheckpoint ck = sim.checkpoint();
+  const noc::RouterStateCodec codec(net.router);
+  noc::RouterState crafted = codec.deserialize(ck.block_states[4]);
+  crafted.queues[6].fifo.push(noc::Flit{noc::FlitType::kBody, 0x77});
+  crafted.queues[6].locked = true;
+  crafted.queues[6].out_port = static_cast<noc::Port>(6);
+  ck.block_states[4] = codec.serialize(crafted);
+  ck.digest = checkpoint_digest(ck.block_states);
+  try {
+    sim.restore(ck);
+    ADD_FAILURE() << "crafted checkpoint restored";
+  } catch (const ContextualError& e) {
+    EXPECT_EQ(e.context_value("queue"), "6") << e.what();
+    EXPECT_EQ(e.context_value("out_port"), "6") << e.what();
+  }
+
+  NocModel nm = build_noc_model(net);
+  ShardedSimulator eng(nm.model, {});
+  EXPECT_THROW(eng.load_block_state(4, ck.block_states[4]), ContextualError);
 }
 
 TEST(EngineCheckpoint, RegisteredInternalLinksAreNotCheckpointable) {

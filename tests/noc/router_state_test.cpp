@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/rng.h"
 
 namespace tmsim::noc {
@@ -226,11 +229,17 @@ TEST(RouterState, TypedEqualityHoldsExactlyWhenEncodingsAreEqual) {
   // typed compare must agree with the bit-accurate one in both
   // directions — stale slots, unlocked out_port and full vs empty
   // included.
-  for (const std::size_t depth : {2u, 4u, 5u}) {
+  // The typed compare is a byte compare of the live queues and output
+  // VCs (RouterState::operator==), so it runs on routers that leave
+  // inline room unused too: fewer VCs, shallower queues.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {4, 2}, {4, 4}, {4, 5}, {2, 3}, {1, 15}};
+  for (const auto& [num_vcs, depth] : shapes) {
     RouterConfig cfg = default_cfg();
+    cfg.num_vcs = num_vcs;
     cfg.queue_depth = depth;
     const RouterStateCodec codec(cfg);
-    tmsim::SplitMix64 rng(depth * 131);
+    tmsim::SplitMix64 rng(depth * 131 + num_vcs);
     for (int iter = 0; iter < 300; ++iter) {
       RouterState s = random_reachable_state(cfg, rng);
       // Codec round trip is the identity on typed states.
@@ -249,6 +258,34 @@ TEST(RouterState, TypedEqualityHoldsExactlyWhenEncodingsAreEqual) {
       // Independent states: equal typed exactly when equal encoded.
       const RouterState u = random_reachable_state(cfg, rng);
       ASSERT_EQ(s == u, codec.serialize(s) == codec.serialize(u));
+    }
+  }
+}
+
+TEST(RouterStateCodec, RejectsOutPortNamingNoPort) {
+  // out_port is a 3-bit field; 5..7 name no port and no router reaches
+  // them. A word holding one (crafted, or corrupted before it was
+  // checkpointed) is refused with the queue and the value, locked or not.
+  const RouterConfig cfg = default_cfg();
+  const RouterStateCodec codec(cfg);
+  for (const bool locked : {false, true}) {
+    for (unsigned port = 0; port < 8; ++port) {
+      RouterState s(cfg);
+      s.queues[13].fifo.push(Flit{FlitType::kBody, 0x4242});
+      s.queues[13].locked = locked;
+      s.queues[13].out_port = static_cast<Port>(port);
+      const BitVector word = codec.serialize(s);
+      if (port < kPorts) {
+        EXPECT_TRUE(codec.deserialize(word) == s);
+        continue;
+      }
+      try {
+        codec.deserialize(word);
+        ADD_FAILURE() << "out_port " << port << " accepted";
+      } catch (const tmsim::ContextualError& e) {
+        EXPECT_EQ(e.context_value("queue"), "13");
+        EXPECT_EQ(e.context_value("out_port"), std::to_string(port));
+      }
     }
   }
 }
